@@ -31,10 +31,10 @@ test-paths:
 test-optimizer:
 	$(PYTHON) -m pytest tests/cypher/test_optimizer_v2.py tests/graph/test_histogram_properties.py tests/cypher/test_planner.py tests/test_join_ordering_properties.py -q
 
-## The trigger suite alone: engine/registry/session units, the batched
-## two-way differential and the incremental three-way differential
-## (sequential == batched == incremental, incl. mid-stream DDL and
-## trigger install/drop, with Hypothesis randomized streams).
+## The trigger suite alone: engine/registry/session units and the
+## default-vs-sequential differential (the paper suite, cascades,
+## self-interference, demotions, mid-stream DDL and trigger install/drop,
+## session close/reuse, with Hypothesis randomized streams).
 test-triggers:
 	$(PYTHON) -m pytest tests/triggers -q
 
@@ -48,7 +48,7 @@ bench:
 
 ## The benchmark smoke subset used by CI: the two trigger hot paths, the
 ## planner/plan-cache experiment, the streaming-vs-eager P6 comparison, the
-## batched-vs-per-activation P7 trigger comparison, the P8 physical
+## default-vs-per-activation P7 trigger comparison, the P8 physical
 ## operator comparisons (range seek / hash join / top-k), the P9
 ## durability throughput/recovery experiment, the P10 concurrent-HTTP
 ## throughput experiment (qps at 1/2/4/8 clients through the server), the
@@ -56,8 +56,8 @@ bench:
 ## P12 optimizer-torture experiment (q-error + plan-regret regression gate
 ## against benchmarks/optimizer_baseline.json; the scored workload lands
 ## in BENCH_optimizer_qerror.json) and the P13 incremental-trigger
-## firehose experiment (≥5x deltas/sec gate against
-## benchmarks/triggers_baseline.json; the result table lands in
+## firehose experiment (≥5x deltas/sec gate against the frozen batched rate
+## in benchmarks/triggers_baseline.json; the result table lands in
 ## BENCH_triggers_firehose.json).  Timings are dumped to
 ## BENCH_smoke.json (all three JSON files are uploaded as CI artifacts).
 bench-smoke:
@@ -66,7 +66,7 @@ bench-smoke:
 		benchmarks/test_section63_apoc_worked_translations.py \
 		benchmarks/test_perf_plan_cache.py \
 		benchmarks/test_perf_streaming.py \
-		benchmarks/test_perf_batched_triggers.py \
+		benchmarks/test_perf_trigger_evaluation.py \
 		benchmarks/test_perf_physical_operators.py \
 		benchmarks/test_perf_durability.py \
 		benchmarks/test_perf_concurrency.py \
@@ -84,9 +84,9 @@ explain-demo:
 streaming-demo:
 	$(PYTHON) -c "from repro.bench import perf_streaming_limit; print(perf_streaming_limit().to_text())"
 
-## Print the P7 experiment (batched vs per-activation trigger evaluation).
-batched-triggers-demo:
-	$(PYTHON) -c "from repro.bench import perf_batched_triggers; print(perf_batched_triggers().to_text())"
+## Print the P7 experiment (default vs per-activation trigger evaluation).
+trigger-evaluation-demo:
+	$(PYTHON) -c "from repro.bench import perf_trigger_evaluation; print(perf_trigger_evaluation().to_text())"
 
 ## Print the P8 experiment (range seek / hash join / top-k vs baselines).
 physical-operators-demo:
@@ -109,8 +109,8 @@ paths-demo:
 optimizer-demo:
 	$(PYTHON) -c "from repro.bench import perf_optimizer; print(perf_optimizer().to_text())"
 
-## Print the P13 experiment (incremental trigger views vs batched:
-## sustained deltas/sec over a firehose delta stream).
+## Print the P13 experiment (incremental trigger views: sustained
+## deltas/sec over a firehose delta stream).
 incremental-triggers-demo:
 	$(PYTHON) -c "from repro.bench import perf_incremental_triggers; print(perf_incremental_triggers().to_text())"
 

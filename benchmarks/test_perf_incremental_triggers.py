@@ -1,18 +1,20 @@
-"""P13 (added) — incremental trigger views vs batched: firehose delta streams.
+"""P13 (added) — incremental trigger views: firehose delta streams.
 
 The acceptance bar for the incremental tier: over a 50k-node delta
 stream split into 250 statements flowing through 12 installed triggers
 (ten invariant config gates over a 10k-entry catalog, one correlated
 Escalate, one cascade), the delta-maintained condition views must
-sustain at least 5x the batched engine's deltas/second while producing
-the identical Spike/Audit populations (the experiment itself asserts
-the equivalence).
+sustain at least 5x the deltas/second of the former batched tier, whose
+last measured rate is frozen as ``batched_deltas_per_sec`` in the
+committed ``triggers_baseline.json`` (the batched tier was removed, and
+a per-activation route would scan the catalog once per activation), and
+must produce the expected Spike/Audit populations.
 
 On top of the absolute bar, a regression gate compares the measured
-rates against the committed ``triggers_baseline.json`` with a 2x slack
-for CI timing noise.  The full result table is dumped to
+rate against the same baseline file with a 2x slack for CI timing
+noise.  The full result table is dumped to
 ``BENCH_triggers_firehose.json`` (uploaded as a CI artifact) so a
-failing gate shows both routes' rates and the views' reuse counters.
+failing gate shows the rate and the views' reuse counters.
 """
 
 import json
@@ -41,15 +43,15 @@ def test_perf_incremental_trigger_evaluation(benchmark, assert_result):
         json.dumps({"rows": result.rows, "notes": result.notes}, indent=2) + "\n"
     )
 
-    assert_result(result, "P13", min_rows=2)
-    by_route = {row["route"]: row for row in result.rows}
-    batched = by_route["batched"]
-    incremental = by_route["incremental"]
+    assert_result(result, "P13", min_rows=1)
+    [incremental] = result.rows
+    batched_rate = baseline["batched_deltas_per_sec"]
 
-    # Identical trigger semantics on both routes.
-    assert incremental["spikes"] == batched["spikes"] == 5
-    assert incremental["audits"] == batched["audits"] == 5
-    assert incremental["triggers"] == batched["triggers"] == 12
+    # Expected trigger semantics: the five highest readings escalate and
+    # cascade into one Audit each.
+    assert incremental["spikes"] == 5
+    assert incremental["audits"] == 5
+    assert incremental["triggers"] == 12
 
     # The incremental tier actually carried the load: every activation of
     # the eleven query-condition triggers went through a view, and the
@@ -58,11 +60,11 @@ def test_perf_incremental_trigger_evaluation(benchmark, assert_result):
     assert incremental["views"] == 11
     assert incremental["product_reuses"] > 10 * (baseline["nodes"] - baseline["statements"])
 
-    # The tentpole acceptance criterion: ≥5x sustained deltas/second.
-    speedup = incremental["deltas_per_sec"] / batched["deltas_per_sec"]
+    # The acceptance criterion: ≥5x the frozen batched deltas/second.
+    speedup = incremental["deltas_per_sec"] / batched_rate
     assert speedup >= 5.0, (
         f"incremental {incremental['deltas_per_sec']:.0f} deltas/s vs "
-        f"batched {batched['deltas_per_sec']:.0f} deltas/s ({speedup:.1f}x < 5x, "
+        f"frozen batched {batched_rate:.1f} deltas/s ({speedup:.1f}x < 5x, "
         f"see {ARTIFACT_PATH.name})"
     )
 

@@ -532,8 +532,9 @@ def expression_variable_names(expr: Expression) -> set[str]:
     Collects every :class:`Variable` name plus the element variables of
     EXISTS sub-patterns — those are references into the row too, but
     :func:`walk_expression` does not surface them as Variable nodes.
-    Used by the planner (reorder-decline checks) and the executor (match
-    memoization keys); both must see the identical dependency set.
+    Used by the planner (reorder-decline checks) and the executor
+    (hash-join build-cache keys); both must see the identical dependency
+    set.
     """
     names: set[str] = set()
     for sub in walk_expression(expr):

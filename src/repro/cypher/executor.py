@@ -180,8 +180,6 @@ class QueryExecutor:
         max_hops: int = DEFAULT_MAX_HOPS,
         eager: bool = False,
         join_ordering: bool = True,
-        memoize_match: bool = False,
-        memoize_skip_variables: Iterable[str] = (),
         naive_paths: bool = False,
     ) -> None:
         self.graph = graph
@@ -198,16 +196,6 @@ class QueryExecutor:
         #: multi-pattern MATCH joins its patterns in clause order — the
         #: naive baseline the differential tests compare against.
         self.join_ordering = join_ordering
-        #: Memoise pattern extensions across input rows (see
-        #: :meth:`_iter_pattern_memoized`).  Only sound while the graph
-        #: cannot change under this executor — the trigger engine enables
-        #: it for its read-only batched condition passes.
-        self.memoize_match = memoize_match
-        #: Variables known to differ on every input row (the trigger
-        #: engine passes its transition-variable names): a pattern
-        #: depending on one can never get a memo hit, so it stays on the
-        #: live path instead of filling the memo with dead entries.
-        self.memoize_skip_variables = frozenset(memoize_skip_variables)
         #: Force the recursive path enumerator (and per-start shortest-path
         #: enumeration) instead of the iterative/accelerated routes.  The
         #: differential property suites treat this executor as ground truth.
@@ -215,7 +203,6 @@ class QueryExecutor:
         self.last_statistics = QueryStatistics()
         self._plan: QueryPlan | None = None
         self._base_context: EvaluationContext | None = None
-        self._match_memo: dict[tuple, _MatchMemo] = {}
         self._match_deps: dict[int, tuple[str, ...]] = {}
         #: Whether a ``presorted`` projection may trust its input order.
         #: Armed per :meth:`_stream_rows` pass and cleared the moment an
@@ -274,9 +261,7 @@ class QueryExecutor:
         of ``rows`` instead of a single bindings row.  Because every
         streamable stage maps each input row independently and in order,
         the output of a read-only Match/Unwind pipeline is the ordered
-        concatenation of what per-row executions would have produced —
-        which is what the trigger engine's batched condition evaluation
-        relies on.
+        concatenation of what per-row executions would have produced.
         """
         return self._stream_rows(query, parameters, [dict(row) for row in rows])
 
@@ -613,71 +598,14 @@ class QueryExecutor:
         """All ways of matching ``pattern`` starting from the bindings in ``row``."""
         return list(self._iter_pattern(pattern, row))
 
-    def _iter_pattern(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Lazily yield every way of matching ``pattern`` from ``row``."""
-        if self.memoize_match and not any(
-            name in self.memoize_skip_variables
-            for name in self._pattern_dependencies(pattern)
-        ):
-            yield from self._iter_pattern_memoized(pattern, row)
-        else:
-            yield from self._iter_pattern_live(pattern, row)
-
-    def _iter_pattern_memoized(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Cross-row memoization of pattern extensions (batched passes only).
-
-        A pattern reads a fixed set of row bindings — its element
-        variables plus whatever its property expressions reference
-        (:meth:`_pattern_dependencies`).  Two input rows agreeing on those
-        bindings therefore produce the same extensions, differing only in
-        the untouched pass-through variables; the first row's extension
-        *deltas* are cached (filled lazily, so EXISTS early-exit keeps
-        paying only for what it pulls) and replayed onto later rows.
-
-        A batch of trigger activations hits this hard: a condition
-        pattern over configuration/catalog nodes that never mentions
-        OLD/NEW is matched once instead of once per activation.  Keys use
-        binding *identity* (ids pinned via the entry), never value
-        equality, so two same-id snapshots with different properties can
-        never alias.  Only sound while the graph is frozen for the
-        executor's lifetime — which the trigger engine's read-only,
-        eagerly drained batch pass guarantees.
-        """
-        key = self._dependency_key(pattern, row)
-        entry = self._match_memo.get(key)
-        if entry is None:
-            entry = _MatchMemo(
-                base=row,
-                source=self._iter_pattern_live(pattern, row),
-                pins=self._dependency_pins(pattern, row),
-            )
-            self._match_memo[key] = entry
-        index = 0
-        while True:
-            if index < len(entry.deltas):
-                merged = dict(row)
-                merged.update(entry.deltas[index])
-                index += 1
-                yield merged
-                continue
-            if entry.complete:
-                return
-            try:
-                extended = next(entry.source)
-            except StopIteration:
-                entry.complete = True
-                entry.source = None
-                return
-            entry.deltas.append(_row_delta(entry.base, extended))
-
     def _dependency_key(self, pattern: PathPattern, row: dict) -> tuple:
         """Identity-based cache key over a pattern's dependency bindings.
 
-        Shared by the cross-row match memo and the hash-join build cache:
-        two rows agreeing (by object identity) on every dependency produce
-        identical pattern extensions, so they may share a cache entry —
-        provided the keyed objects are pinned (:meth:`_dependency_pins`)
-        so their ids cannot be recycled while the entry is alive.
+        Used by the hash-join build cache: two rows agreeing (by object
+        identity) on every dependency produce identical pattern
+        extensions, so they may share a build table — provided the keyed
+        objects are pinned (:meth:`_dependency_pins`) so their ids cannot
+        be recycled while the entry is alive.
         """
         return (id(pattern),) + tuple(
             (name, id(row[name]))
@@ -703,8 +631,8 @@ class QueryExecutor:
             self._match_deps[id(pattern)] = dependencies
         return dependencies
 
-    def _iter_pattern_live(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Uncached matching of ``pattern`` against the live graph."""
+    def _iter_pattern(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
+        """Lazily yield every way of matching ``pattern`` from ``row``."""
         elements = pattern.elements
         access: AccessPath | None = None
         if self._plan is not None:
@@ -2053,26 +1981,6 @@ class QueryExecutor:
 # ---------------------------------------------------------------------------
 
 
-class _MatchMemo:
-    """One memoized pattern extension set (see ``_iter_pattern_memoized``).
-
-    ``deltas`` grows lazily from ``source`` (the live match generator of
-    the first row that needed this key) until ``complete``; ``base`` is
-    that first row, against which deltas are computed; ``pins`` keeps the
-    keyed binding objects alive so their ids cannot be recycled while the
-    entry can still be hit.
-    """
-
-    __slots__ = ("base", "source", "pins", "deltas", "complete")
-
-    def __init__(self, base: dict, source: Iterator[dict], pins: list) -> None:
-        self.base = base
-        self.source: Iterator[dict] | None = source
-        self.pins = pins
-        self.deltas: list[dict] = []
-        self.complete = False
-
-
 class _JoinTable:
     """The materialised build side of one disconnected join step.
 
@@ -2170,9 +2078,9 @@ class _SortValue:
 def _row_delta(base: dict, extended: dict) -> dict:
     """The bindings ``extended`` adds (or rebinds, by identity) over ``base``.
 
-    The shared delta representation of the match memo and the hash-join
-    build tables: replaying a delta onto any row agreeing with ``base`` on
-    the pattern's dependencies reproduces the extension exactly.
+    The row representation of the hash-join build tables: replaying a
+    delta onto any row agreeing with ``base`` on the pattern's
+    dependencies reproduces the extension exactly.
     """
     return {
         name: value
@@ -2222,8 +2130,8 @@ def contains_aggregate(expr: Expression) -> bool:
     """True when ``expr`` contains an aggregate call (or ``count(*)``).
 
     Shared rule: the projection planner uses it to pick grouping items,
-    and the trigger engine's batchability check uses it to reject
-    conditions that would aggregate *across* activations.
+    and the incremental view compiler uses it to reject aggregating
+    condition queries.
     """
     for sub in walk_expression(expr):
         if isinstance(sub, CountStar):

@@ -80,12 +80,6 @@ class EvaluationContext:
             return self.graph.relationship(rel.id)
         return rel
 
-    def refresh_item(self, item: Node | Relationship) -> Node | Relationship:
-        """Refresh either kind of item."""
-        if isinstance(item, Node):
-            return self.refresh_node(item)
-        return self.refresh_relationship(item)
-
     def node_by_id(self, node_id: int) -> Node | None:
         """Fetch a node by id, or ``None`` when it does not exist."""
         if self.graph.has_node(node_id):

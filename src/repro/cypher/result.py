@@ -90,7 +90,7 @@ class ResultSummary:
     trigger engine with triggers installed (streamed reads never do) —
     is the engine's per-trigger evaluation report at the time
     the statement finished: which tier handled each run (incremental /
-    batched / sequential / predicate), demotions with reasons, and the
+    sequential / predicate), demotions with reasons, and the
     condition views' maintenance counters.  Counters are cumulative over
     the session, so diffing two statements' summaries isolates one
     statement's work.

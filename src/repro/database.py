@@ -61,7 +61,6 @@ class GraphDatabase:
         self,
         clock: Callable[[], _dt.datetime] | None = None,
         max_cascade_depth: int = 16,
-        batched_triggers: bool = True,
         incremental_triggers: bool = True,
         path: str | None = None,
         storage_io: StorageIO | None = None,
@@ -72,7 +71,6 @@ class GraphDatabase:
     ) -> None:
         self._clock = clock
         self._max_cascade_depth = max_cascade_depth
-        self._batched_triggers = batched_triggers
         self._incremental_triggers = incremental_triggers
         self._path = os.fspath(path) if path is not None else None
         self._storage_io = storage_io
@@ -126,7 +124,6 @@ class GraphDatabase:
                     schema=schema,
                     clock=self._clock,
                     max_cascade_depth=self._max_cascade_depth,
-                    batched_triggers=self._batched_triggers,
                     incremental_triggers=self._incremental_triggers,
                     path=self._graph_directory(name),
                     storage_io=self._storage_io,
@@ -142,7 +139,6 @@ class GraphDatabase:
                     schema=schema,
                     clock=self._clock,
                     max_cascade_depth=self._max_cascade_depth,
-                    batched_triggers=self._batched_triggers,
                     incremental_triggers=self._incremental_triggers,
                     lock_manager=self.lock_manager,
                     lock_timeout=self._lock_timeout,

@@ -397,10 +397,6 @@ class PropertyGraph:
             return None
         return [self._nodes[i] for i in sorted(hit) if i in self._nodes]
 
-    def range_index_selectivity(self, label: str, prop: str) -> float | None:
-        """Entries per distinct value of the ordered index (``None`` if absent)."""
-        return self._range_index.selectivity(label, prop)
-
     def range_index_entry_count(self, label: str, prop: str) -> int | None:
         """Total entries of the ordered index (``None`` when not declared)."""
         return self._range_index.entry_count(label, prop)
@@ -483,10 +479,6 @@ class PropertyGraph:
     def composite_indexes(self) -> list[tuple[str, tuple[str, ...]]]:
         """Declared (label, properties) composite index keys."""
         return self._composite_index.indexed_keys()
-
-    def composite_indexes_for_label(self, label: str) -> tuple[tuple[str, ...], ...]:
-        """Property tuples of the composites declared for ``label``."""
-        return self._composite_index.for_label(label)
 
     def composite_index_lookup(
         self, label: str, props: Iterable[str], values: Iterable[Any]

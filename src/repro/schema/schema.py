@@ -198,14 +198,6 @@ class PGSchema:
         """All declared node labels."""
         return [t.label for t in self._node_types.values()]
 
-    def edge_labels(self) -> list[str]:
-        """All declared edge labels (deduplicated, order preserved)."""
-        seen: list[str] = []
-        for edge in self._edge_types.values():
-            if edge.label not in seen:
-                seen.append(edge.label)
-        return seen
-
     def _resolve_node_type(self, name_or_label: str) -> NodeType:
         if name_or_label in self._node_types:
             return self._node_types[name_or_label]

@@ -34,9 +34,9 @@ class TriggerBindings:
 def transition_names(trigger: TriggerDefinition) -> set[str]:
     """Every name an activation's bindings may use for OLD/NEW.
 
-    Shared by the batched and incremental evaluators: a condition that
-    uses one of these names as a label or pattern variable resolves
-    per-activation state, which a shared evaluation pass cannot model.
+    Used by the incremental view compiler: a condition that uses one of
+    these names as a label or pattern variable resolves per-activation
+    state, which a shared materialized view cannot model.
     """
     names = {"OLD", "NEW"}
     for alias in trigger.referencing:

@@ -25,58 +25,24 @@ survive the condition are handed to the action statement, so variables
 bound in the condition (e.g. the overloaded hospital ``h``) are usable in
 the action.
 
-**Batched condition evaluation.**  A delta touching *n* items of a FOR
-EACH trigger's target produces *n* activations; evaluating the condition
-query once per activation pays the executor/pipeline setup cost *n*
-times.  When a condition is *batchable* — a read-only MATCH/UNWIND
-pipeline whose rows flow independently (no aggregation, DISTINCT, ORDER
-BY or SKIP/LIMIT) and whose patterns do not use a transition variable as
-a label — the engine instead runs **one** UNWIND-style pipeline pass
-over all activations (each initial row carries that activation's
-``OLD``/``NEW`` plus a correlation tag) and buckets the surviving rows
-per activation.  Statement execution, firing order and the audit log are
-untouched: the buckets are replayed activation by activation in order.
-
-The batch is advisory in the same sense as the query planner's access
-paths: verdicts taken from it are only trusted while they provably match
-what sequential evaluation would have seen.  Until the first activation
-fires, the graph is unchanged, so every verdict is exact; after a firing,
-verdicts are re-verified per activation unless a static independence
-check proved the trigger's action (CREATE-only, disjoint from every
-condition pattern) cannot change its own condition's rows.  Results can
-therefore never change — only speed.
+**Evaluation ladder.**  A FOR EACH condition is evaluated by the first
+tier that can handle it: *predicate* (a plain WHEN expression over
+``OLD``/``NEW``, evaluated without an executor), *incremental* (a
+condition query compiled to a delta-maintained view, see
+:mod:`repro.triggers.incremental`), and *sequential* — one executor run
+per activation, the reference the differential tests compare against.
+Every tier funnels firings through the same :class:`_TriggerRun`, so the
+choice of tier changes only speed, never results.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from itertools import chain as _chain
-from typing import Any, Callable, Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Any, Callable, Mapping, Optional
 
-from ..cypher.ast import (
-    CreateClause,
-    ExistsPattern,
-    Expression,
-    FunctionCall,
-    LabelPredicate,
-    MatchClause,
-    NodePattern,
-    PathPattern,
-    PropertyAccess,
-    Query,
-    RemoveClause,
-    RemovePropertyItem,
-    ReturnClause,
-    SetClause,
-    SetLabelsItem,
-    SetPropertyItem,
-    UnwindClause,
-    Variable,
-    WithClause,
-    walk_expression,
-)
+from ..cypher.ast import ExistsPattern, Expression, Query
 from ..cypher.errors import CypherError
-from ..cypher.executor import QueryExecutor, contains_aggregate
+from ..cypher.executor import QueryExecutor
 from ..cypher.expressions import EvaluationContext, evaluate
 from ..cypher.planner import PLAN_CACHE
 from ..graph.delta import GraphDelta
@@ -99,7 +65,6 @@ from .context import (
     TriggerFiring,
     bindings_for,
     item_bindings,
-    transition_names,
 )
 from .errors import TriggerExecutionError, TriggerRecursionError
 from .events import Activation, compute_activations
@@ -133,7 +98,6 @@ class TriggerEngine:
         clock: Callable[[], _dt.datetime] | None = None,
         max_cascade_depth: int = DEFAULT_MAX_CASCADE_DEPTH,
         max_detached_depth: int = DEFAULT_MAX_DETACHED_DEPTH,
-        batched_conditions: bool = True,
         incremental_conditions: bool = True,
     ) -> None:
         self.graph = graph
@@ -142,25 +106,16 @@ class TriggerEngine:
         self.clock = clock or _dt.datetime.now
         self.max_cascade_depth = max_cascade_depth
         self.max_detached_depth = max_detached_depth
-        #: Evaluate batchable FOR EACH condition queries in one pipeline
-        #: pass per delta (see the module docstring).  Off, every
-        #: activation runs its own executor — the reference behaviour the
-        #: differential tests compare against.
-        self.batched_conditions = batched_conditions
         #: Evaluate view-compilable FOR EACH condition queries against
         #: delta-maintained materialized views (the top tier of the
-        #: incremental → batched → sequential demotion ladder; see
-        #: :mod:`repro.triggers.incremental`).
+        #: incremental → sequential demotion ladder; see
+        #: :mod:`repro.triggers.incremental`).  Off, every condition query
+        #: runs its own executor per activation — the reference behaviour
+        #: the differential tests compare against.
         self.incremental_conditions = incremental_conditions
         self.views: Optional[IncrementalTriggerViews] = (
             IncrementalTriggerViews(graph, registry) if incremental_conditions else None
         )
-        #: Counters observing the batched evaluator (tests and benchmarks).
-        self.batch_stats = {
-            "batched_runs": 0,
-            "batched_activations": 0,
-            "reverified_activations": 0,
-        }
         #: Counters observing the incremental evaluator.
         self.incremental_stats = {
             "incremental_runs": 0,
@@ -170,7 +125,6 @@ class TriggerEngine:
         #: Per-trigger evaluation trace: which tier ran, how often, and
         #: why demotions happened (see :meth:`evaluation_report`).
         self.tier_trace: dict[str, dict[str, dict[str, int]]] = {}
-        self._batch_profiles: dict[tuple, tuple[bool, bool]] = {}
         #: Audit log of trigger firings (cleared with :meth:`clear_firings`).
         self.firings: list[TriggerFiring] = []
         # Condition and statement texts are compiled through the global
@@ -335,19 +289,15 @@ class TriggerEngine:
         activations = [self._refresh_new_side(a) for a in activations]
         run = _TriggerRun(self, installed, tx, depth, parent, len(activations))
 
-        # Fast suppress path: a FOR EACH trigger whose WHEN body is a plain
-        # predicate (no condition query, no EXISTS, no REFERENCING aliases)
-        # only needs OLD/NEW and the bare expression evaluator to decide
-        # whether it fires; suppressed activations skip the bindings
-        # machinery entirely.  Statement execution and firing accounting go
-        # through the same _TriggerRun.fire as the full path below.
-        if (
-            trigger.condition is not None
-            and trigger.granularity == Granularity.EACH
-            and not trigger.referencing
-        ):
+        if trigger.condition is not None and trigger.granularity == Granularity.EACH:
             compiled = self._compiled_condition(trigger)
-            if not compiled.is_query and not compiled.has_exists:
+
+            # Predicate tier: a WHEN body that is a plain predicate (no
+            # condition query, no EXISTS, no REFERENCING aliases) only
+            # needs OLD/NEW and the bare expression evaluator to decide
+            # whether it fires; suppressed activations skip the bindings
+            # machinery entirely.
+            if not compiled.is_query and not compiled.has_exists and not trigger.referencing:
                 eval_context = EvaluationContext(graph=self.graph, clock=self.clock)
                 parsed = compiled.parsed
                 for activation in activations:
@@ -364,20 +314,14 @@ class TriggerEngine:
                 self._note_tier(trigger.name, "predicate")
                 return run.produced
 
-        # Incremental path (top of the demotion ladder): evaluate each
-        # activation against the trigger's delta-maintained condition view.
-        # The view is live — the store's mutation listeners fold every
-        # firing's writes into it before the next activation evaluates —
-        # so lazy per-activation evaluation is sequential-equal by
-        # construction, at any activation count.  Conditions outside the
-        # compiled footprint demote to the batched tier below.
-        if (
-            self.views is not None
-            and trigger.condition is not None
-            and trigger.granularity == Granularity.EACH
-        ):
-            compiled = self._compiled_condition(trigger)
-            if compiled.is_query:
+            # Incremental tier: evaluate each activation against the
+            # trigger's delta-maintained condition view.  The view is live —
+            # the store's mutation listeners fold every firing's writes into
+            # it before the next activation evaluates — so lazy
+            # per-activation evaluation is sequential-equal by construction,
+            # at any activation count.  Conditions outside the compiled
+            # footprint demote to the sequential tier below.
+            if compiled.is_query and self.views is not None:
                 view = self.views.view_for(installed, compiled.parsed)
                 if view is not None:
                     self._note_tier(trigger.name, "incremental")
@@ -385,59 +329,9 @@ class TriggerEngine:
                 reason = self.views.rejection_reason(trigger.name)
                 self._note_demotion(trigger.name, reason or "ineligible")
 
-        # Batched path: evaluate a batchable FOR EACH condition (query or
-        # EXISTS predicate) once over all activations, then replay the
-        # per-activation buckets in order.  Verdicts are trusted only
-        # while they provably equal what sequential evaluation would see
-        # (see the module docstring).
-        if (
-            self.batched_conditions
-            and trigger.condition is not None
-            and trigger.granularity == Granularity.EACH
-            and len(activations) > 1
-        ):
-            compiled = self._compiled_condition(trigger)
-            profile = self._batch_profile(trigger, compiled)
-            independent = profile.independent
-            if not profile.eligible:
-                self._note_demotion(trigger.name, "not batchable")
-            else:
-                buckets = self._batched_condition_rows(
-                    trigger, compiled, profile, activations, tx
-                )
-                if buckets is None:
-                    # The condition errored somewhere in the batch.
-                    # No firing has happened yet, so falling through
-                    # to the sequential loop reproduces the reference
-                    # behaviour exactly: earlier activations fire,
-                    # then the erroring one raises.
-                    self._note_demotion(trigger.name, "condition error")
-                else:
-                    self.batch_stats["batched_runs"] += 1
-                    self.batch_stats["batched_activations"] += len(activations)
-                    fired = False
-                    for activation, rows in zip(activations, buckets):
-                        if fired and not independent:
-                            # An earlier firing may have changed what
-                            # this condition sees: fall back to the
-                            # sequential evaluation for the remaining
-                            # activations.
-                            binding = item_bindings(trigger, activation)
-                            rows = self._condition_rows(trigger, binding, tx)
-                            self.batch_stats["reverified_activations"] += 1
-                        elif rows:
-                            # Full bindings (with virtual-label sets)
-                            # are only needed when the action runs.
-                            binding = item_bindings(trigger, activation)
-                        else:
-                            run.fire(None, _NO_ROWS)
-                            continue
-                        if rows:
-                            fired = True
-                        run.fire(binding, rows)
-                    self._note_tier(trigger.name, "batched")
-                    return run.produced
-
+        # Sequential tier (the reference): one condition execution per
+        # activation.  Every tier funnels firings through the same
+        # _TriggerRun.fire, so their accounting cannot diverge.
         self._note_tier(trigger.name, "sequential")
         for binding in bindings_for(trigger, activations):
             run.fire(binding, self._condition_rows(trigger, binding, tx))
@@ -568,184 +462,6 @@ class TriggerEngine:
         )
         return evaluate(parsed, row, context)
 
-    # ------------------------------------------------------------------
-    # batched condition evaluation
-    # ------------------------------------------------------------------
-
-    def _batch_profile(self, trigger: TriggerDefinition, compiled) -> "_BatchProfile":
-        """The memoised batch-evaluation shape of one trigger's condition.
-
-        *eligible* — the condition (query or EXISTS predicate) can run as
-        one multi-row pass without changing any activation's rows;
-        *independent* — additionally, the trigger's own action can never
-        change what the condition sees, so batch verdicts stay valid even
-        after earlier activations fire; *prefix*/*suffix* — for query
-        conditions, the streamable stage shared by all activations and
-        the per-activation replay stage (aggregating WITH pipelines and
-        non-streamable RETURNs go in the suffix; ``suffix is None`` means
-        the whole condition streams).  The prefix/suffix query objects
-        are built once and pinned here so the parsed-plan cache (keyed on
-        object identity) keeps working.
-        """
-        key = (trigger.name, trigger.condition, trigger.statement, trigger.referencing)
-        cached = self._batch_profiles.get(key)
-        if cached is not None:
-            return cached
-        transition_names = _transition_names(trigger)
-        condition = compiled.parsed
-        prefix: Optional[Query] = None
-        suffix: Optional[Query] = None
-        if compiled.is_query:
-            split = None
-            if _patterns_transition_free(_condition_patterns(condition), transition_names):
-                split = _condition_split(condition)
-            eligible = split is not None
-            if eligible:
-                if split >= len(condition.clauses):
-                    prefix = condition  # pure streamable: the original object
-                else:
-                    prefix = Query(
-                        clauses=condition.clauses[:split]
-                        + (ReturnClause(items=(), include_wildcard=True),)
-                    )
-                    suffix = Query(clauses=condition.clauses[split:])
-        else:
-            eligible = _patterns_transition_free(
-                _exists_patterns(condition), transition_names
-            ) and not contains_aggregate(condition)
-        independent = False
-        if eligible:
-            try:
-                statement = PLAN_CACHE.parse(trigger.statement)
-            except CypherError:
-                statement = None
-            if statement is not None:
-                independent = _action_independent(statement, condition, transition_names)
-        profile = _BatchProfile(eligible, independent, prefix, suffix)
-        self._batch_profiles[key] = profile
-        return profile
-
-    def _batched_condition_rows(
-        self,
-        trigger: TriggerDefinition,
-        compiled,
-        profile: "_BatchProfile",
-        activations: list[Activation],
-        tx: Transaction,
-    ) -> Optional[list[list[dict[str, Any]]]]:
-        """One evaluation pass over every activation, bucketed per activation.
-
-        Query conditions: each initial row carries one activation's
-        transition variables plus a correlation tag, and the streamable
-        *prefix* maps input rows independently and in order, so bucket
-        *i* holds exactly the rows a per-activation execution would have
-        produced for activation *i*, in the same order.  When the
-        condition has a non-streamable *suffix* (aggregating WITH
-        pipeline, DISTINCT/ORDER BY/aggregate RETURN), the suffix then
-        replays over each bucket separately — per-activation grouping and
-        the one-row-on-empty-input semantics of global aggregates are
-        preserved because each replay sees only its own activation's
-        rows.  Activations whose prefix produced nothing share a single
-        empty-input suffix execution: with no input rows the suffix's
-        result cannot depend on the activation.
-
-        EXISTS predicates: a witness pass evaluates the expression once
-        per activation against one shared pattern-memoizing executor;
-        bucket *i* is the activation's bindings row when the predicate
-        held, empty otherwise — exactly the sequential rows.
-
-        Returns ``None`` when the condition raises anywhere in the batch:
-        sequential evaluation would have fired the activations *before*
-        the erroring one first (and their firings stay on the audit log),
-        so the caller must rerun the trigger sequentially rather than
-        fail the whole batch up front.
-        """
-        rows: list[dict[str, Any]] = []
-        if trigger.referencing:
-            for index, activation in enumerate(activations):
-                row = dict(item_bindings(trigger, activation).variables)
-                row[_BATCH_TAG] = index
-                rows.append(row)
-        else:
-            # Hot path: the variables are fixed, and the virtual-label sets
-            # of the full bindings are only needed by actually-firing
-            # activations (built lazily by the caller).
-            for index, activation in enumerate(activations):
-                rows.append(
-                    {"OLD": activation.old, "NEW": activation.new, _BATCH_TAG: index}
-                )
-        # memoize_match is sound here: the condition is a read-only
-        # pipeline (eligibility) and the pass drains before any statement
-        # runs, so the graph cannot change under this executor.  Patterns
-        # depending on the per-activation variables can never repeat a
-        # memo key, so they are excluded from memoization.
-        executor = QueryExecutor(
-            self.graph,
-            transaction=tx,
-            clock=self.clock,
-            procedures=self.procedures,
-            memoize_match=True,
-            memoize_skip_variables=_transition_names(trigger) | {_BATCH_TAG},
-        )
-        try:
-            if not compiled.is_query:
-                return self._witness_pass(compiled.parsed, executor, rows)
-            buckets: list[list[dict[str, Any]]] = [[] for _ in activations]
-            _, records = executor.stream_batch(profile.prefix, rows)
-            for record in records:
-                buckets[record.pop(_BATCH_TAG)].append(record)
-            if profile.suffix is not None:
-                shared_empty: Optional[list[dict[str, Any]]] = None
-                replayed: list[list[dict[str, Any]]] = []
-                for bucket in buckets:
-                    if bucket:
-                        _, records = executor.stream_batch(profile.suffix, bucket)
-                        replayed.append(list(records))
-                    else:
-                        if shared_empty is None:
-                            _, records = executor.stream_batch(profile.suffix, [])
-                            shared_empty = list(records)
-                        # Copy per activation: condition rows flow into
-                        # statement execution, which must never see a row
-                        # object shared with another activation.
-                        replayed.append([dict(record) for record in shared_empty])
-                buckets = replayed
-        except TransactionAborted:
-            raise
-        except CypherError:
-            # Rerun sequentially so pre-error firings match the reference.
-            return None
-        return buckets
-
-    def _witness_pass(
-        self,
-        parsed: Expression,
-        executor: QueryExecutor,
-        rows: list[dict[str, Any]],
-    ) -> list[list[dict[str, Any]]]:
-        """Evaluate an (EXISTS-bearing) predicate once per tagged row.
-
-        The rows are per-activation bindings, so there is nothing to mix
-        across activations; the batch win is the shared executor, whose
-        match memos let repeated EXISTS witnesses short-circuit across
-        the whole batch instead of once per activation.
-        """
-
-        def match_exists(exists: ExistsPattern, exists_row: dict[str, Any]) -> bool:
-            return executor._exists_matcher(exists, exists_row)
-
-        context = EvaluationContext(
-            graph=self.graph,
-            clock=self.clock,
-            pattern_matcher=match_exists,
-        )
-        buckets: list[list[dict[str, Any]]] = []
-        for row in rows:
-            row.pop(_BATCH_TAG, None)
-            value = evaluate(parsed, row, context)
-            buckets.append([row] if value is True else [])
-        return buckets
-
     def _parse_condition(self, trigger: TriggerDefinition):
         return self._compiled_condition(trigger).parsed
 
@@ -809,7 +525,7 @@ class TriggerEngine:
         """Per-trigger evaluation observability (tiers, demotions, views).
 
         For every installed trigger: which evaluation tier handled each
-        run (``incremental``/``batched``/``sequential``/``predicate``),
+        run (``incremental``/``sequential``/``predicate``),
         every demotion with its reason, and — when a condition view
         exists — the view's alpha-memory size and maintenance counters.
         Surfaced through :meth:`GraphSession.explain_triggers` and the
@@ -868,10 +584,10 @@ _NO_ROWS: list[dict[str, Any]] = []
 class _TriggerRun:
     """Bookkeeping for one trigger's firings over one delta.
 
-    Both condition-evaluation paths (the fast predicate path and the full
-    executor path) funnel statement execution, the executed/suppressed
-    counters and the :class:`TriggerFiring` audit records through
-    :meth:`fire`, so their semantics cannot diverge.
+    Every evaluation tier (predicate, incremental, sequential) funnels
+    statement execution, the executed/suppressed counters and the
+    :class:`TriggerFiring` audit records through :meth:`fire`, so their
+    semantics cannot diverge.
     """
 
     __slots__ = (
@@ -938,303 +654,6 @@ class _TriggerRun:
                 action_time=self._action_time,
             )
         )
-
-
-# ---------------------------------------------------------------------------
-# batched-evaluation static analysis
-# ---------------------------------------------------------------------------
-
-#: Correlation key carried through a batched condition pass; popped from
-#: every surviving row before it reaches the action statement.
-_BATCH_TAG = "__batch_activation__"
-
-
-# Shared with the incremental view compiler (repro.triggers.context).
-_transition_names = transition_names
-
-
-class _BatchProfile(NamedTuple):
-    """How (and whether) one trigger's condition batches; see _batch_profile."""
-
-    eligible: bool
-    independent: bool
-    prefix: Optional[Query]
-    suffix: Optional[Query]
-
-
-def _condition_split(query: Query) -> Optional[int]:
-    """Where the per-activation suffix of a batchable condition starts.
-
-    ``clauses[:split]`` is the streamable prefix — MATCH/UNWIND stages
-    that map input rows independently and in order, so one tagged pass
-    buckets exactly.  ``clauses[split:]`` is the suffix that must replay
-    per activation because it mixes rows *within* an activation:
-    aggregating or row-reordering WITH pipelines, and RETURNs with
-    DISTINCT/ORDER BY/SKIP/LIMIT/aggregates (or without the engine's
-    wildcard normalisation).  ``split == len(clauses)`` means the whole
-    condition streams; ``None`` means the condition cannot batch at all
-    (an unsupported clause kind somewhere).
-    """
-    for position, clause in enumerate(query.clauses):
-        if isinstance(clause, (MatchClause, UnwindClause)):
-            continue
-        if isinstance(clause, WithClause):
-            return position if _suffix_supported(query.clauses[position:]) else None
-        if isinstance(clause, ReturnClause):
-            if position != len(query.clauses) - 1:
-                return None
-            if (
-                clause.include_wildcard
-                and not clause.distinct
-                and not clause.order_by
-                and clause.skip is None
-                and clause.limit is None
-                and not any(contains_aggregate(item.expression) for item in clause.items)
-            ):
-                return position + 1
-            return position
-        return None
-    return None  # no RETURN: not an engine-normalised condition
-
-
-def _suffix_supported(clauses) -> bool:
-    """Suffix replay handles exactly what the stream pipeline handles."""
-    return all(
-        isinstance(clause, (MatchClause, UnwindClause, WithClause, ReturnClause))
-        for clause in clauses
-    )
-
-
-def _patterns_transition_free(patterns, transition_names: set[str]) -> bool:
-    """No pattern uses a transition name as a label or relationship type.
-
-    Those resolve through per-activation virtual-label sets, which a
-    shared pass cannot model (using them as pre-bound pattern
-    *variables* is fine).
-    """
-    for pattern in patterns:
-        for element in pattern.elements:
-            if isinstance(element, NodePattern):
-                if set(element.labels) & transition_names:
-                    return False
-            elif set(element.types) & transition_names:
-                return False
-    return True
-
-
-def _action_independent(
-    statement: Query, condition: Union[Query, Expression], transition_names: set[str]
-) -> bool:
-    """True when the action can never change its own condition's rows.
-
-    Conservative static check built from two footprints.  The statement's
-    *write footprint*: the label sets / relationship types it can CREATE,
-    the property keys it SETs or REMOVEs, and the labels it SETs or
-    REMOVEs.  The condition's *read footprint*: the labels/types its
-    patterns require, the property keys its patterns test inline, and
-    the property keys / labels its expressions read on anything other
-    than a transition variable — transition snapshots are frozen at
-    activation time, so action writes can never reach them (pattern
-    elements that *re-bind* a transition variable are the exception: the
-    matcher refreshes pre-bound variables from the live graph, so their
-    inline keys and labels count as reads).
-
-    The action stays independent iff nothing it creates can match a
-    condition pattern element, no key it writes is read, and no label it
-    writes is read.  MATCH/UNWIND/WITH/RETURN in the statement are pure
-    reads; DELETE/MERGE/CALL/FOREACH and map-style SET (`n = {…}` /
-    `n += {…}`) stay unanalysable and fail the check, sending the engine
-    back to sequential re-verification after the first firing.
-    """
-    created_label_sets: list[frozenset] = []
-    created_types: set[str] = set()
-    creates_node = False
-    creates_rel = False
-    written_keys: set[str] = set()
-    written_labels: set[str] = set()
-    for clause in statement.clauses:
-        if isinstance(clause, (MatchClause, UnwindClause, WithClause, ReturnClause)):
-            continue
-        if isinstance(clause, CreateClause):
-            for pattern in clause.patterns:
-                for element in pattern.elements:
-                    if isinstance(element, NodePattern):
-                        # A bound variable re-uses an existing node;
-                        # boundness is not tracked here, so treating every
-                        # node element as a potential creation is the
-                        # conservative choice.
-                        creates_node = True
-                        created_label_sets.append(frozenset(element.labels))
-                    else:
-                        creates_rel = True
-                        created_types.update(element.types)
-        elif isinstance(clause, SetClause):
-            for item in clause.items:
-                if isinstance(item, SetPropertyItem):
-                    written_keys.add(item.key)
-                elif isinstance(item, SetLabelsItem):
-                    written_labels.update(item.labels)
-                else:  # SetFromMapItem: the written key set is dynamic
-                    return False
-        elif isinstance(clause, RemoveClause):
-            for item in clause.items:
-                if isinstance(item, RemovePropertyItem):
-                    written_keys.add(item.key)
-                else:
-                    written_labels.update(item.labels)
-        else:
-            return False
-
-    # UNWIND (or a WITH alias) in a query condition may shadow a
-    # transition name; a shadowed variable is an ordinary row value, so
-    # its reads are live again.  Expression conditions (EXISTS
-    # predicates) bind nothing, so every transition stays frozen.
-    shadowed: set[str] = set()
-    if isinstance(condition, Query):
-        for clause in condition.clauses:
-            if isinstance(clause, UnwindClause):
-                shadowed.add(clause.variable)
-            elif isinstance(clause, WithClause):
-                shadowed.update(item.alias for item in clause.items if item.alias)
-        patterns = _condition_patterns(condition)
-        expressions = _condition_expressions(condition)
-    else:
-        patterns = _exists_patterns(condition)
-        expressions = iter((condition,))
-    frozen = transition_names - shadowed
-
-    read_keys: set[str] = set()
-    read_labels: set[str] = set()
-    reads_all_keys = False
-    reads_all_labels = False
-    inline_values: list[Expression] = []
-    for pattern in patterns:
-        for element in pattern.elements:
-            # Inline property tests read the *live* graph even on
-            # pre-bound transition variables (the matcher refreshes
-            # candidates), so their keys always join the read footprint;
-            # their value expressions are walked with the rest below.
-            read_keys.update(key for key, _ in element.properties)
-            inline_values.extend(expr for _, expr in element.properties)
-            if isinstance(element, NodePattern):
-                read_labels.update(element.labels)
-            if element.variable is not None and element.variable in frozen:
-                continue  # pre-bound: can never rebind to a created item
-            if isinstance(element, NodePattern):
-                if not element.labels:
-                    if creates_node:
-                        return False
-                else:
-                    required = set(element.labels)
-                    if any(required.issubset(labels) for labels in created_label_sets):
-                        return False
-            else:
-                read_labels.update(element.types)
-                if not element.types:
-                    if creates_rel:
-                        return False
-                elif set(element.types) & created_types:
-                    return False
-    for expression in _chain(inline_values, expressions):
-        for sub in walk_expression(expression):
-            if isinstance(sub, PropertyAccess):
-                if isinstance(sub.subject, Variable) and sub.subject.name in frozen:
-                    continue  # snapshot read: frozen at activation time
-                read_keys.add(sub.key)
-            elif isinstance(sub, LabelPredicate):
-                if isinstance(sub.subject, Variable) and sub.subject.name in frozen:
-                    continue
-                read_labels.update(sub.labels)
-            elif isinstance(sub, FunctionCall):
-                # keys()/properties() and labels()/type() read an entity's
-                # whole key set / label set dynamically — no static key to
-                # intersect, so they widen the footprint to "everything"
-                # unless they read a frozen transition snapshot.
-                name = sub.name.lower()
-                if name in ("keys", "properties", "labels", "type"):
-                    args = sub.args
-                    if (
-                        len(args) == 1
-                        and isinstance(args[0], Variable)
-                        and args[0].name in frozen
-                    ):
-                        continue
-                    if name in ("keys", "properties"):
-                        reads_all_keys = True
-                    else:
-                        reads_all_labels = True
-
-    if written_keys & read_keys:
-        return False
-    if written_labels & read_labels:
-        return False
-    if reads_all_keys and written_keys:
-        return False
-    if reads_all_labels and written_labels:
-        return False
-    return True
-
-
-def _condition_expressions(query: Query) -> Iterator[Expression]:
-    """Every clause-level expression tree a condition query evaluates.
-
-    Covers clause WHEREs, UNWIND sources and projection items;
-    ``walk_expression`` then descends into EXISTS sub-WHEREs.  Inline
-    property-map values are *not* yielded here — the read-footprint
-    analysis walks them off the pattern elements directly (via
-    ``_condition_patterns``, which also surfaces EXISTS sub-patterns).
-    """
-    for clause in query.clauses:
-        if isinstance(clause, MatchClause):
-            if clause.where is not None:
-                yield clause.where
-        elif isinstance(clause, UnwindClause):
-            yield clause.expression
-        elif isinstance(clause, (WithClause, ReturnClause)):
-            for item in clause.items:
-                yield item.expression
-            if isinstance(clause, WithClause) and clause.where is not None:
-                yield clause.where
-
-
-def _condition_patterns(query: Query) -> Iterator[PathPattern]:
-    """Every path pattern a condition query can match (incl. EXISTS).
-
-    EXISTS sub-patterns are reachable from three places: the WHERE tree,
-    projection expressions, and — easy to miss — the inline property
-    maps of pattern elements (``(c:Config {flag: EXISTS {(s:Spike)}})``).
-    All three feed the batched-evaluation safety checks, so missing one
-    would let a condition through that the batch pass evaluates
-    differently.
-    """
-    for clause in query.clauses:
-        if isinstance(clause, MatchClause):
-            for pattern in clause.patterns:
-                yield pattern
-                for element in pattern.elements:
-                    for _, expr in element.properties:
-                        yield from _exists_patterns(expr)
-            if clause.where is not None:
-                yield from _exists_patterns(clause.where)
-        elif isinstance(clause, UnwindClause):
-            yield from _exists_patterns(clause.expression)
-        elif isinstance(clause, ReturnClause):
-            for item in clause.items:
-                yield from _exists_patterns(item.expression)
-
-
-def _exists_patterns(expression: Expression) -> Iterator[PathPattern]:
-    # walk_expression descends into ExistsPattern.where, so nested EXISTS
-    # sub-patterns there are reached through their own ExistsPattern node;
-    # the explicit recursion covers EXISTS hiding inside an inline
-    # property map of another EXISTS's pattern elements.
-    for sub in walk_expression(expression):
-        if isinstance(sub, ExistsPattern):
-            for pattern in sub.patterns:
-                yield pattern
-                for element in pattern.elements:
-                    for _, expr in element.properties:
-                        yield from _exists_patterns(expr)
 
 
 # ---------------------------------------------------------------------------

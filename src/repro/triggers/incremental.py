@@ -1,12 +1,12 @@
 """Incremental trigger-condition evaluation: delta-maintained views.
 
-Batched evaluation (PR 4) runs one pipeline pass *per delta*; at firehose
-rates that still re-executes every installed trigger's condition query —
-parse-cache lookup, planner consultation, pattern scan — thousands of
-times per second, even though most deltas cannot possibly change what a
-condition matches.  This module compiles eligible condition queries into
-**delta-maintained materialized views**, a small discrimination network in
-the Rete tradition:
+Sequential evaluation runs a FOR EACH trigger's condition query once *per
+activation*; at firehose rates that re-executes every installed trigger's
+condition — parse-cache lookup, planner consultation, pattern scan —
+thousands of times per second, even though most deltas cannot possibly
+change what a condition matches.  This module compiles eligible condition
+queries into **delta-maintained materialized views**, a small
+discrimination network in the Rete tradition:
 
 * **alpha memories** — one per MATCH clause, holding the node snapshots
   that satisfy the clause's label and literal-property tests, keyed by
@@ -27,22 +27,21 @@ including the transaction layer's rollback undo records and
 detach-delete cascades, which funnel through the same public methods —
 the views are *live*: when the engine replays activations one by one,
 each activation's evaluation sees every earlier firing's writes, which
-makes incremental evaluation sequential-equal by construction (no
-independence analysis needed on this tier).
+makes incremental evaluation sequential-equal by construction.
 
-Safety rails, per the demotion ladder (incremental → batched →
-sequential):
+Safety rails, per the demotion ladder (incremental → sequential):
 
 * Conditions outside the compiled footprint — relationship patterns,
   OPTIONAL MATCH, UNWIND, EXISTS, non-literal inline properties,
   transition variables used as pattern variables or labels — are
   rejected at compile time with a reason, and the engine falls back to
-  the PR 4 batched path (or sequential evaluation) so results can never
-  change.
+  sequential evaluation so results can never change.
 * Views record the graph's index epoch and rebuild from scratch when it
   bumps (index/DDL changes) or after a bulk mutation (``clear()``).
 * Re-installing or dropping a trigger prunes its view via the registry's
   version counter.
+* Closing the owning session detaches the listener and drops every view;
+  a later evaluation re-attaches and recompiles from the current graph.
 """
 
 from __future__ import annotations
@@ -139,8 +138,8 @@ def compile_condition_view(
     single-node pattern each, literal inline properties, arbitrary WHERE
     residuals without EXISTS, and the engine-normalised wildcard RETURN —
     because everything inside it can be proven row-order- and
-    error-order-equal to the executor.  Everything outside demotes to the
-    batched tier, which handles the general pipeline shapes.
+    error-order-equal to the executor.  Everything outside demotes to
+    sequential evaluation, which handles every pipeline shape.
     """
     transitions = transition_names(trigger)
     clauses: list[_ViewClause] = []
@@ -394,6 +393,7 @@ class IncrementalTriggerViews:
         self._registry_version = -1
         self.stats = {"mutations_routed": 0, "bulk_invalidations": 0}
         graph.add_mutation_listener(self._on_mutation)
+        self._attached = True
 
     # -- view lookup ----------------------------------------------------
 
@@ -406,6 +406,11 @@ class IncrementalTriggerViews:
         footprint (the reason is kept for :meth:`rejection_reason`).
         """
         trigger = installed.definition
+        if not self._attached:
+            # Closed earlier: every view was dropped with the listener, so
+            # the views compiled from here on start from the current graph.
+            self.graph.add_mutation_listener(self._on_mutation)
+            self._attached = True
         self._sync_registry()
         view = self._views.get(trigger.name)
         if view is not None and view.definition is trigger:
@@ -437,8 +442,14 @@ class IncrementalTriggerViews:
         return self._views.get(name)
 
     def close(self) -> None:
-        """Detach from the graph (used when an engine is discarded)."""
+        """Detach from the graph and drop every view.
+
+        Called when the owning session closes.  A later :meth:`view_for`
+        re-attaches and recompiles, so a reused engine never evaluates
+        against a view that missed mutations while detached.
+        """
         self.graph.remove_mutation_listener(self._on_mutation)
+        self._attached = False
         self._views.clear()
         self._by_label.clear()
         self._rejections.clear()

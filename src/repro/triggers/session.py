@@ -66,6 +66,15 @@ class GraphSession:
       observe a half-applied transaction (no torn reads);
     * lock waits bounded by ``lock_timeout`` raise the typed
       :class:`~repro.tx.errors.LockTimeoutError` without touching state.
+
+    ``incremental_triggers=False`` turns off the delta-maintained condition
+    views, so every condition query runs once per activation — the
+    sequential reference evaluator the differential tests compare against.
+    ``batched_triggers`` has no effect: the batched condition tier it used
+    to switch was removed (the incremental tier beat it on every measured
+    workload).  The keyword stays accepted because the benchmark harness
+    under ``perfbench/`` still builds its sequential oracle with
+    ``batched_triggers=False, incremental_triggers=False``.
     """
 
     def __init__(
@@ -108,7 +117,6 @@ class GraphSession:
             self.manager,
             clock=self.clock,
             max_cascade_depth=max_cascade_depth,
-            batched_conditions=batched_triggers,
             incremental_conditions=incremental_triggers,
         )
         self._open_transaction: Optional[Transaction] = None
@@ -408,7 +416,7 @@ class GraphSession:
         """Per-trigger evaluation observability (tiers, demotions, views).
 
         For every installed trigger: how many runs each evaluation tier
-        handled (``incremental``/``batched``/``sequential``/``predicate``),
+        handled (``incremental``/``sequential``/``predicate``),
         every demotion down the ladder with its reason, and — for
         triggers with a compiled condition view — the view's current
         partial-match count and delta-maintenance counters, or the reason
@@ -482,17 +490,21 @@ class GraphSession:
             store.sync()
 
     def close(self) -> None:
-        """Flush and release the durable store (no-op for in-memory sessions).
+        """Detach the trigger views from the graph and release the durable store.
 
-        Any WAL records still sitting in the group-commit buffer are synced
-        before the handles are released, so an acknowledged commit can never
-        be lost by closing the session.
+        The incremental condition views stop listening to the graph, so a
+        closed (or dropped) session no longer costs the graph anything; if
+        the session is used again, its views re-attach and rebuild from the
+        current graph.  Any WAL records still sitting in the group-commit
+        buffer are synced before the store's handles are released, so an
+        acknowledged commit can never be lost by closing the session.
         """
-        if self.store is None:
-            return
         with self._write_guard():
-            self._detach_active_result()
-            self.store.close()
+            if self.engine.views is not None:
+                self.engine.views.close()
+            if self.store is not None:
+                self._detach_active_result()
+                self.store.close()
 
     def __enter__(self) -> "GraphSession":
         return self

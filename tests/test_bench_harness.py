@@ -48,7 +48,7 @@ class TestRegistryAndCli:
     def test_registry_covers_every_design_artifact(self):
         # the per-experiment index of DESIGN.md: tables, figures, sections, perf
         # (P5 is the added planner/plan-cache experiment, P6 the streaming
-        # vs eager pipeline comparison, P7 the batched-trigger comparison,
+        # vs eager pipeline comparison, P7 the trigger-evaluation comparison,
         # P8 the physical-operator comparisons, P9 the durability cost
         # comparison, P10 the concurrent-HTTP throughput experiment,
         # P11 the path-query / reachability-accelerator experiment,
