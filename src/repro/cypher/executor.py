@@ -105,6 +105,7 @@ from .planner import (
     ORDERED,
     PLAN_CACHE,
     RANGE,
+    REL_ARGUMENT,
     REL_INDEX,
     SORT,
     STREAM,
@@ -124,6 +125,9 @@ ProcedureCallable = Callable[[Sequence[Any], "ProcedureInvocation"], Iterable[Ma
 #: Default bound applied to unbounded variable-length patterns (``[*]``);
 #: prevents accidental exponential blow-ups on dense graphs.
 DEFAULT_MAX_HOPS = 15
+
+#: The bound names of an empty initial row (the common, unbound case).
+_NO_NAMES: frozenset = frozenset()
 
 #: Sentinel distinguishing "no first row" from a row when peeking a
 #: pipeline to finalise the presorted flag.
@@ -192,9 +196,12 @@ class QueryExecutor:
         #: Materialise every pipeline stage clause-by-clause (the
         #: pre-streaming behaviour); baseline for equivalence tests/benchmarks.
         self.eager = eager
-        #: Apply the planner's cost-based multi-pattern join order.  Off, a
-        #: multi-pattern MATCH joins its patterns in clause order — the
-        #: naive baseline the differential tests compare against.
+        #: Apply the planner's cost-based multi-pattern join order, its
+        #: bound-variable pattern starts and its once-per-stage replay of
+        #: uncorrelated MATCH clauses.  Off, a multi-pattern MATCH joins its
+        #: patterns in clause order, every pattern walks from its first
+        #: node and every clause re-matches per input row — the naive
+        #: baseline the differential tests compare against.
         self.join_ordering = join_ordering
         #: Force the recursive path enumerator (and per-start shortest-path
         #: enumeration) instead of the iterative/accelerated routes.  The
@@ -271,13 +278,20 @@ class QueryExecutor:
         parameters: Mapping[str, Any] | None,
         initial_rows: list[dict[str, Any]],
     ) -> tuple[list[str], Iterator[dict[str, Any]]]:
+        # The plan may start patterns at the names the initial rows bind.
+        if len(initial_rows) != 1:
+            bound = frozenset().union(*initial_rows)
+        elif initial_rows[0]:
+            bound = frozenset(initial_rows[0])
+        else:
+            bound = _NO_NAMES
         if isinstance(query, str):
             query, self._plan = PLAN_CACHE.get(
-                query, self.graph, frozenset(self.virtual_labels)
+                query, self.graph, frozenset(self.virtual_labels), bound
             )
         else:
             self._plan = PLAN_CACHE.get_for_parsed(
-                query, self.graph, frozenset(self.virtual_labels)
+                query, self.graph, frozenset(self.virtual_labels), bound
             )
         if parameters:
             self.parameters.update(parameters)
@@ -304,20 +318,38 @@ class QueryExecutor:
         """The :class:`QueryPlan` chosen by the most recent execution."""
         return self._plan
 
-    def plan_description(self, query: Query | str) -> str:
+    def plan_description(
+        self, query: Query | str, bound_names: Iterable[str] = ()
+    ) -> str:
         """EXPLAIN-style description of the access paths chosen for ``query``.
 
         Uses the same global plan cache as :meth:`execute`, so this is also
         the way tests assert that an indexed workload actually takes a
-        ``PropertyIndex`` lookup.
+        ``PropertyIndex`` lookup.  ``bound_names`` are the names the
+        ``bindings`` of an execution would bind.
         """
+        bound = frozenset(bound_names)
         if isinstance(query, str):
-            _, plan = PLAN_CACHE.get(query, self.graph, frozenset(self.virtual_labels))
+            _, plan = PLAN_CACHE.get(
+                query, self.graph, frozenset(self.virtual_labels), bound
+            )
         else:
             plan = PLAN_CACHE.get_for_parsed(
-                query, self.graph, frozenset(self.virtual_labels)
+                query, self.graph, frozenset(self.virtual_labels), bound
             )
         return plan.plan_description()
+
+    def plan_expression(self, query: Query, row: Mapping[str, Any]) -> None:
+        """Plan ``query`` for expressions evaluated directly over ``row``.
+
+        The trigger engine evaluates plain WHEN predicates without a
+        pipeline (through :meth:`_exists_matcher`); planning their
+        ``RETURN <predicate>`` wrapper against ``row``'s names lets their
+        EXISTS sub-patterns start at bound variables like any query's.
+        """
+        self._plan = PLAN_CACHE.get_for_parsed(
+            query, self.graph, frozenset(self.virtual_labels), frozenset(row)
+        )
 
     def statistics_merge(self, other: QueryStatistics) -> None:
         """Fold the statistics of a nested execution into this one."""
@@ -436,8 +468,67 @@ class QueryExecutor:
         # pattern's dependency bindings so rows differing in a dependency
         # can never alias (same contract as the match memo).
         join_state: dict[tuple, _JoinTable] = {}
+        if (
+            self.join_ordering
+            and self._plan is not None
+            and self._plan.has_replays
+            and self._plan.replay_for(clause) is not None
+        ):
+            yield from self._iter_match_replayed(clause, steps, rows, join_state)
+            return
         for row in rows:
-            yield from self._iter_match_row(clause, steps, row, join_state)
+            yield from self._iter_match_row(
+                clause, self._iter_join_steps(steps, 0, dict(row), join_state), row
+            )
+
+    def _iter_match_replayed(
+        self,
+        clause: MatchClause,
+        steps: Sequence[tuple[PathPattern, Optional[JoinOperator]]],
+        rows: Iterator[dict],
+        join_state: dict,
+    ) -> Iterator[dict]:
+        """An uncorrelated clause: match once per stage, replay per row.
+
+        The planner proved the clause's patterns read nothing from the
+        input rows, so every row would re-match them to the same bindings.
+        The first row matches lazily and records each extension as a row
+        delta in a keyless :class:`_JoinTable` (a downstream LIMIT still
+        stops the walk early); later rows replay the recorded deltas.  The
+        WHERE and OPTIONAL padding still run per input row.  The table is
+        keyed by the clause's identity and pins the clause, like every
+        build table, so a recycled ``id()`` can never alias it.
+        """
+        key = ("replay", id(clause))
+        for row in rows:
+            table = join_state.get(key)
+            if table is None:
+                table = _JoinTable(())
+                table.pins = [clause]
+                candidates: Iterator[dict] = self._record_extensions(
+                    steps, row, table, key, join_state
+                )
+            else:
+                candidates = (_replayed(row, delta) for delta in table.deltas)
+            yield from self._iter_match_row(clause, candidates, row)
+
+    def _record_extensions(
+        self,
+        steps: Sequence[tuple[PathPattern, Optional[JoinOperator]]],
+        row: dict,
+        table: "_JoinTable",
+        key: tuple,
+        join_state: dict,
+    ) -> Iterator[dict]:
+        """Match the clause from ``row``, recording deltas into ``table``.
+
+        The table is published for replay only once the walk is exhausted,
+        so a walk abandoned half-way is never replayed as if complete.
+        """
+        for extended in self._iter_join_steps(steps, 0, dict(row), join_state):
+            table.deltas.append(_row_delta(row, extended))
+            yield extended
+        join_state[key] = table
 
     def _match_steps(
         self, clause: MatchClause
@@ -464,15 +555,11 @@ class QueryExecutor:
         return [(pattern, None) for pattern in clause.patterns]
 
     def _iter_match_row(
-        self,
-        clause: MatchClause,
-        steps: Sequence[tuple[PathPattern, Optional[JoinOperator]]],
-        row: dict,
-        join_state: dict,
+        self, clause: MatchClause, candidates: Iterator[dict], row: dict
     ) -> Iterator[dict]:
-        """All bindings one input row produces for a MATCH clause, lazily."""
+        """Filter one input row's pattern extensions by WHERE; pad OPTIONAL."""
         produced = False
-        for candidate in self._iter_join_steps(steps, 0, dict(row), join_state):
+        for candidate in candidates:
             if clause.where is not None and self._evaluate(clause.where, candidate) is not True:
                 continue
             produced = True
@@ -640,6 +727,24 @@ class QueryExecutor:
             if pattern_plan is not None:
                 elements = pattern_plan.elements
                 access = pattern_plan.start
+                if pattern_plan.reads_row:
+                    if pattern_plan.bound_nodes and not _bound_nodes_match(
+                        pattern_plan.bound_nodes, row
+                    ):
+                        return
+                    anchor = access.variable
+                    if anchor is not None:
+                        if not self.join_ordering or anchor not in row:
+                            # The naive baseline, or a row that does not
+                            # bind the planned anchor after all: walk from
+                            # the first node.
+                            elements = pattern.elements
+                            access = None
+                        elif access.kind == REL_ARGUMENT:
+                            yield from self._iter_from_bound_relationship(
+                                pattern, elements, row[anchor], row
+                            )
+                            return
         if pattern.shortest is not None:
             yield from self._iter_shortest(pattern, elements, row, access)
             return
@@ -658,6 +763,22 @@ class QueryExecutor:
             yield from self._extend_path(
                 elements, 1, node, bindings, used_rels=set(),
                 path_nodes=[node], path_rels=[], pattern=pattern,
+            )
+
+    def _iter_from_bound_relationship(
+        self, pattern: PathPattern, elements: Sequence, rel: Any, row: dict
+    ) -> Iterator[dict]:
+        """Match a pattern outward from its bound first relationship.
+
+        A relationship deleted earlier in the transaction (a trigger's
+        ``OLD``) keeps its last snapshot, exactly as the walk from the
+        first node uses it; a null or non-relationship binding matches
+        nothing, again as that walk finds.
+        """
+        if isinstance(rel, Relationship):
+            current = self.graph.relationship_or_none(rel.id)
+            yield from self._iter_pattern_from_relationships(
+                pattern, elements, (current or rel,), row
             )
 
     def _rel_seek_candidates(
@@ -719,8 +840,9 @@ class QueryExecutor:
                 if not self._relationship_satisfies(rel_pattern, rel, start_node, bindings):
                     continue
                 if rel_pattern.variable is not None:
-                    existing = bindings.get(rel_pattern.variable)
-                    if existing is not None and not _same_item(existing, rel):
+                    if rel_pattern.variable in bindings and not _same_item(
+                        bindings[rel_pattern.variable], rel
+                    ):
                         continue
                     bindings = dict(bindings)
                     bindings[rel_pattern.variable] = rel
@@ -1131,8 +1253,10 @@ class QueryExecutor:
     ) -> Iterator[tuple[Node, dict]]:
         """Yield (node, updated bindings) pairs satisfying ``node_pattern``."""
         variable = node_pattern.variable
-        if variable is not None and row.get(variable) is not None:
+        if variable is not None and variable in row:
             bound = row[variable]
+            if bound is None:
+                return  # bound to null: matches nothing
             if not isinstance(bound, Node):
                 raise CypherTypeError(f"variable {variable!r} is not bound to a node")
             refreshed = self.graph.node(bound.id) if self.graph.has_node(bound.id) else bound
@@ -1326,9 +1450,13 @@ class QueryExecutor:
     def _bind_node(self, node_pattern: NodePattern, node: Node, bindings: dict) -> dict | None:
         """Check ``node`` against the pattern and return extended bindings (or None)."""
         variable = node_pattern.variable
-        if variable is not None and bindings.get(variable) is not None:
+        if variable is not None and variable in bindings:
             existing = bindings[variable]
-            if not isinstance(existing, Node) or existing.id != node.id:
+            if existing is None:
+                return None  # bound to null: matches nothing
+            if not isinstance(existing, Node):
+                raise CypherTypeError(f"variable {variable!r} is not bound to a node")
+            if existing.id != node.id:
                 return None
         if not self._node_satisfies(node_pattern, node, bindings):
             return None
@@ -2073,6 +2201,30 @@ class _SortValue:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _SortValue) and self.value == other.value
+
+
+def _bound_nodes_match(names: tuple[str, ...], row: dict) -> bool:
+    """Can ``row``'s bindings of a pattern's node variables match at all?
+
+    Checked before a pattern is walked, whichever element the walk starts
+    at: a variable bound to null matches nothing (False), one bound to
+    anything but a node raises.
+    """
+    for name in names:
+        if name in row:
+            value = row[name]
+            if value is None:
+                return False
+            if not isinstance(value, Node):
+                raise CypherTypeError(f"variable {name!r} is not bound to a node")
+    return True
+
+
+def _replayed(row: dict, delta: dict) -> dict:
+    """``row`` extended by one recorded build delta."""
+    merged = dict(row)
+    merged.update(delta)
+    return merged
 
 
 def _row_delta(base: dict, extended: dict) -> dict:

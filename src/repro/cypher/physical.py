@@ -25,7 +25,13 @@ Start operators — how a pattern's candidate set is produced
 * ``IndexRangeSeek(L.p > lo AND L.p <= hi)`` — sorted-index range seek
   over the ordered property index;
 * ``RelIndexSeek(T.p = v)`` — equality probe into a relationship-property
-  index; the pattern is matched outward from the seeked relationships.
+  index; the pattern is matched outward from the seeked relationships;
+* ``Argument(bound)`` — the pattern's first node is a variable the input
+  row already binds (a caller binding such as a trigger's ``NEW``, an
+  earlier clause, or the row enclosing an EXISTS pattern): the walk starts
+  at that one node;
+* ``Argument([r] bound)`` — the pattern's first relationship is already
+  bound: the walk starts at its endpoints.
 
 Pattern operators:
 
@@ -46,7 +52,10 @@ Join operators (between the disconnected pattern groups of one MATCH):
 * :class:`CartesianProduct` — no usable key: the new pattern's rows are
   materialised once and replayed per partial row (still strictly better
   than re-matching the pattern per row, which is what the nested-loop
-  baseline does).
+  baseline does);
+* :class:`Replay` — the same idea across clauses: a MATCH clause that reads
+  nothing from its input rows is matched once per pipeline stage and its
+  rows are replayed onto every input row.
 
 Projection operators:
 
@@ -75,6 +84,10 @@ IN_LIST = "in"
 RANGE = "range"
 REL_INDEX = "rel_index"
 VIRTUAL = "virtual"
+#: Starts at a node (``argument``) or relationship (``rel_argument``) the
+#: input row already binds; ``AccessPath.variable`` names it.
+ARGUMENT = "argument"
+REL_ARGUMENT = "rel_argument"
 LABEL = "label"
 SCAN = "scan"
 #: Not selectivity-ranked: chosen only to serve an ORDER BY, never to shrink
@@ -129,6 +142,9 @@ class AccessPath:
     values: tuple[Expression, ...] = ()
     #: Sort direction of an ``ordered`` scan.
     descending: bool = False
+    #: The bound variable an ``argument``/``rel_argument`` start resumes
+    #: from (None for every other kind).
+    variable: Optional[str] = None
     #: Planner cardinality estimate for this operator's output.
     estimated_rows: float = 0.0
 
@@ -179,6 +195,10 @@ class AccessPath:
             )
         if self.kind == VIRTUAL:
             return f"VirtualLabelScan({self.label})"
+        if self.kind == ARGUMENT:
+            return "Argument(bound)" + _est(self.estimated_rows)
+        if self.kind == REL_ARGUMENT:
+            return f"Argument([{self.variable}] bound)" + _est(self.estimated_rows)
         if self.kind == LABEL:
             return "LabelScan(" + "|".join(self.labels) + ")" + _est(self.estimated_rows)
         return "AllNodesScan" + _est(self.estimated_rows)
@@ -366,6 +386,24 @@ class CartesianProduct:
 
 
 @dataclass(frozen=True)
+class Replay:
+    """An uncorrelated MATCH clause: matched once per stage, then replayed.
+
+    The clause reads nothing from its input rows (no pattern variable is
+    bound before it and no property map reads an earlier variable), so
+    every input row would re-match it to the same rows.  The executor
+    matches it for the first input row, records the rows, and replays them
+    onto every later row of the same stage; the clause's WHERE still runs
+    per joined row.
+    """
+
+    clause_index: int
+
+    def describe(self) -> str:
+        return f"Replay(clause[{self.clause_index}], matched once per stage)"
+
+
+@dataclass(frozen=True)
 class TopK:
     """Heap-based streaming ORDER BY + LIMIT (+ SKIP).
 
@@ -484,9 +522,10 @@ def physical_chain(
     operators: list[PatternOperator] = [start]
     estimate = start.estimated_rows
     first_hop = 1
-    if start.kind == REL_INDEX:
-        # elements[0]/[1]/[2] are bound by the seek itself; account for the
-        # endpoint label filters, then continue expanding from elements[3].
+    if start.kind in (REL_INDEX, REL_ARGUMENT):
+        # elements[0]/[1]/[2] are bound by the seek (or the bound
+        # relationship) itself; account for the endpoint label filters,
+        # then continue expanding from elements[3].
         for node in (elements[0], elements[2]):
             if node.labels:
                 estimate *= estimator.label_fraction(node.labels)

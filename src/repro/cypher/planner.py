@@ -33,6 +33,19 @@ Two things live here:
   (flipping relationship directions), which preserves the produced
   bindings exactly.
 
+  **Planning from what is already bound.**  :func:`plan_query` takes the
+  names the caller's initial row binds (a trigger's ``NEW``/``OLD`` and
+  REFERENCING aliases, an emulator's bindings) and tracks what every
+  clause binds after them.  A pattern whose first node is already bound
+  starts there (``Argument(bound)``, one row); so does a pattern whose
+  *last* node is bound, by the same reversal; a pattern whose first (or,
+  reversed, last) relationship is bound starts at that relationship's
+  endpoints.  EXISTS sub-patterns are planned the same way against the
+  row that encloses them.  A MATCH clause that reads nothing from its
+  input rows and follows a clause that can multiply rows is marked
+  :class:`~repro.cypher.physical.Replay`: the executor matches it once per
+  stage and replays its rows onto every input row.
+
   On top of the per-pattern access paths, the planner performs
   **cost-based join ordering** for multi-pattern MATCH clauses
   (``MATCH (a:A), (b:B), …``): every pattern gets an estimated
@@ -77,7 +90,7 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Iterable, Iterator, Optional, Union
 
 from ..graph.statistics import (
@@ -102,6 +115,7 @@ from .ast import (
     NodePattern,
     Parameter,
     PathPattern,
+    ProjectionItem,
     PropertyAccess,
     Query,
     RelationshipPattern,
@@ -118,12 +132,14 @@ from .functions import is_aggregate_function
 from .lexer import Token, tokenize
 from .parser import parse_expression, parse_query
 from .physical import (
+    ARGUMENT,
     COMPOSITE,
     IN_LIST,
     INDEX,
     LABEL,
     ORDERED,
     RANGE,
+    REL_ARGUMENT,
     REL_INDEX,
     SCAN,
     VIRTUAL,
@@ -134,6 +150,7 @@ from .physical import (
     HashJoin,
     PatternOperator,
     ProjectionOperator,
+    Replay,
     Sort,
     TopK,
     format_rows,
@@ -166,6 +183,19 @@ class PatternPlan:
     #: adds nothing).  EXPLAIN surfaces both numbers; join ordering ranks
     #: patterns by this one.
     filtered_rows: Optional[float] = None
+    #: Node variables of the pattern that the input row may already bind.
+    #: The executor checks them before walking — null matches nothing, a
+    #: non-node raises — so every start point sees the same semantics.
+    bound_nodes: tuple[str, ...] = ()
+    #: Must the executor look at the input row before walking (bound node
+    #: variables to check, or a bound start)?  Derived, so a plan that
+    #: reads nothing from the row pays one attribute test.
+    reads_row: bool = field(init=False, default=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "reads_row", bool(self.bound_nodes) or self.start.variable is not None
+        )
 
     def describe(self) -> str:
         start = self.elements[0]
@@ -266,12 +296,15 @@ class QueryPlan:
 
     __slots__ = (
         "query",
+        "_clause_plans",
         "_by_pattern",
         "_by_clause",
         "_by_projection",
+        "_replays",
         "_lines",
         "has_join_orders",
         "has_projection_plans",
+        "has_replays",
     )
 
     def __init__(
@@ -281,15 +314,25 @@ class QueryPlan:
         join_orders: Iterable[JoinOrder] = (),
         projection_plans: Iterable[ProjectionPlan] = (),
         filters: Iterable[Filter] = (),
+        exists_plans: Iterable[PatternPlan] = (),
+        replays: Iterable[tuple[MatchClause, Replay]] = (),
     ) -> None:
         self.query = query
+        self._clause_plans = list(pattern_plans)
         self._by_pattern: dict[int, PatternPlan] = {}
         self._by_clause: dict[int, JoinOrder] = {}
         self._by_projection: dict[int, ProjectionPlan] = {}
+        self._replays: dict[int, tuple[MatchClause, Replay]] = {}
         self._lines: list[str] = []
-        for plan in pattern_plans:
+        for plan in self._clause_plans:
             self._by_pattern[id(plan.pattern)] = plan
             self._lines.append(plan.describe())
+        for plan in exists_plans:
+            self._by_pattern[id(plan.pattern)] = plan
+            self._lines.append("Exists " + plan.describe())
+        for clause, replay in replays:
+            self._replays[id(clause)] = (clause, replay)
+            self._lines.append(replay.describe())
         for filter_op in filters:
             self._lines.append(filter_op.describe())
         for join_order in join_orders:
@@ -305,6 +348,7 @@ class QueryPlan:
         #: Cheap executor-side checks before the per-row clause lookups.
         self.has_join_orders = bool(self._by_clause)
         self.has_projection_plans = bool(self._by_projection)
+        self.has_replays = bool(self._replays)
 
     def for_pattern(self, pattern: PathPattern) -> Optional[PatternPlan]:
         """The plan for ``pattern``, or None when it was not planned."""
@@ -320,6 +364,13 @@ class QueryPlan:
             return join_order
         return None
 
+    def replay_for(self, clause: MatchClause) -> Optional[Replay]:
+        """The Replay mark of an uncorrelated MATCH clause (None otherwise)."""
+        entry = self._replays.get(id(clause))
+        if entry is not None and entry[0] is clause:
+            return entry[1]
+        return None
+
     def projection_for(
         self, clause: Union[WithClause, ReturnClause]
     ) -> Optional[ProjectionPlan]:
@@ -330,8 +381,8 @@ class QueryPlan:
         return None
 
     def pattern_plans(self) -> list[PatternPlan]:
-        """All pattern plans, in clause order."""
-        return list(self._by_pattern.values())
+        """All MATCH/MERGE pattern plans, in clause order."""
+        return list(self._clause_plans)
 
     def join_orders(self) -> list[JoinOrder]:
         """All multi-pattern join orders, in clause order."""
@@ -345,7 +396,7 @@ class QueryPlan:
         """True when any pattern starts from a property-index seek."""
         return any(
             p.start.kind in (INDEX, IN_LIST, RANGE, REL_INDEX, COMPOSITE)
-            for p in self._by_pattern.values()
+            for p in self._clause_plans
         )
 
     def plan_description(self) -> str:
@@ -402,6 +453,7 @@ def plan_query(
     query: Query,
     graph,
     virtual_labels: Iterable[str] = (),
+    bound_names: Iterable[str] = (),
 ) -> QueryPlan:
     """Lower every clause of ``query`` into physical operators.
 
@@ -410,7 +462,8 @@ def plan_query(
     ``count_nodes_with_label()``, ``node_count()``); richer surfaces
     (``range_indexes()``, ``relationship_property_indexes()``,
     ``property_index_selectivity()``, …) unlock more operators and sharpen
-    the cardinality estimates when present.
+    the cardinality estimates when present.  ``bound_names`` are the
+    variables the caller's initial row binds; patterns may start at them.
     """
     virtual = frozenset(virtual_labels)
     indexes = _graph_indexes(graph)
@@ -419,8 +472,27 @@ def plan_query(
     join_orders: list[JoinOrder] = []
     projections: list[ProjectionPlan] = []
     filters: list[Filter] = []
-    bound: set[str] = set()
-    for clause in query.clauses:
+    exists_plans: list[PatternPlan] = []
+    replays: list[tuple[MatchClause, Replay]] = []
+    bound: set[str] = set(bound_names)
+    # Can the current clause's input hold several rows?  Only then is an
+    # uncorrelated clause worth recording and replaying.
+    several_rows = False
+    # A CALL without YIELD binds names the planner cannot see: from there
+    # on every node variable is checked and no clause is uncorrelated.
+    opaque = False
+
+    def plan_pattern(pattern, sargable, scope, allow_index=True) -> PatternPlan:
+        return _plan_pattern(
+            pattern, sargable, graph, virtual, indexes, estimator,
+            allow_index=allow_index, bound=scope, opaque=opaque,
+        )
+
+    def plan_exists(expr: Optional[Expression], scope: set[str]) -> None:
+        if expr is not None:
+            exists_plans.extend(_plan_exists(expr, scope, plan_pattern))
+
+    for position, clause in enumerate(query.clauses):
         if isinstance(clause, MatchClause):
             sargable = _sargable_predicates(clause.where)
             # A pattern reading a variable that nothing before it binds
@@ -438,15 +510,7 @@ def plan_query(
             if any(external):
                 sargable = _SargablePredicates()
             clause_plans = [
-                _plan_pattern(
-                    pattern,
-                    sargable,
-                    graph,
-                    virtual,
-                    indexes,
-                    estimator,
-                    allow_index=not any(external),
-                )
+                plan_pattern(pattern, sargable, bound, allow_index=not any(external))
                 for pattern in clause.patterns
             ]
             if clause.where is not None:
@@ -456,30 +520,61 @@ def plan_query(
             plans.extend(clause_plans)
             if clause.where is not None:
                 filters.append(Filter(expression=clause.where))
+            uncorrelated = (
+                several_rows and not opaque and _reads_no_input(clause, bound)
+            )
             if len(clause_plans) > 1:
-                join_order = _order_patterns(clause, clause_plans, bound)
+                # An uncorrelated clause is matched once for all its input
+                # rows, so its joins must not key on input-row variables.
+                join_order = _order_patterns(
+                    clause, clause_plans, set() if uncorrelated else bound
+                )
                 if join_order is not None:
                     join_orders.append(join_order)
+            if uncorrelated:
+                replays.append((clause, Replay(position)))
+            plan_exists(clause.where, _advance_bound_variables(clause, bound))
         elif isinstance(clause, MergeClause):
             # MERGE's match phase benefits from the same start-point choice;
             # only inline property maps are sargable here (no WHERE).
-            plans.append(
-                _plan_pattern(
-                    clause.pattern, _SargablePredicates(), graph, virtual, indexes, estimator
-                )
-            )
+            plans.append(plan_pattern(clause.pattern, _SargablePredicates(), bound))
         elif isinstance(clause, (WithClause, ReturnClause)):
             projections.append(_plan_projection(clause))
+            after = _advance_bound_variables(clause, bound)
+            for item in clause.items:
+                plan_exists(item.expression, bound)
+            if isinstance(clause, WithClause):
+                plan_exists(clause.where, after)
+            for sort_item in clause.order_by:
+                plan_exists(sort_item.expression, bound | after)
+        elif isinstance(clause, UnwindClause):
+            plan_exists(clause.expression, bound)
+        elif isinstance(clause, CallClause) and not clause.yield_items:
+            opaque = True
+        several_rows = _may_multiply_rows(clause, several_rows)
         bound = _advance_bound_variables(clause, bound)
     plans, projections = _apply_ordered_scan(
         query, graph, virtual, indexes, plans, projections
     )
-    return QueryPlan(query, plans, join_orders, projections, filters)
+    return QueryPlan(
+        query, plans, join_orders, projections, filters, exists_plans, replays
+    )
 
 
-def explain(text: str, graph, virtual_labels: Iterable[str] = ()) -> str:
-    """Parse, plan and describe ``text`` against ``graph`` (EXPLAIN)."""
-    query, plan = PLAN_CACHE.get(text, graph, frozenset(virtual_labels))
+def explain(
+    text: str,
+    graph,
+    virtual_labels: Iterable[str] = (),
+    bound_names: Iterable[str] = (),
+) -> str:
+    """Parse, plan and describe ``text`` against ``graph`` (EXPLAIN).
+
+    ``bound_names`` are the variables the caller would bind in the initial
+    row (a trigger's ``NEW``, say), so the description shows what runs.
+    """
+    query, plan = PLAN_CACHE.get(
+        text, graph, frozenset(virtual_labels), frozenset(bound_names)
+    )
     del query
     return plan.plan_description()
 
@@ -492,7 +587,32 @@ def _plan_pattern(
     indexes: _Indexes,
     estimator: CardinalityEstimator,
     allow_index: bool = True,
+    bound: Union[set[str], frozenset] = frozenset(),
+    opaque: bool = False,
 ) -> PatternPlan:
+    bound_nodes = tuple(dict.fromkeys(
+        element.variable
+        for element in pattern.elements
+        if isinstance(element, NodePattern)
+        and element.variable is not None
+        and (opaque or element.variable in bound)
+    ))
+    anchored = _anchored_start(pattern, bound) if bound else None
+    if anchored is not None:
+        elements, start, is_reversed = anchored
+        physical, estimated = physical_chain(
+            start, elements, estimator, pattern=pattern, graph=graph,
+            virtual_labels=virtual,
+        )
+        return PatternPlan(
+            pattern=pattern,
+            elements=elements,
+            start=start,
+            reversed=is_reversed,
+            estimated_rows=estimated,
+            physical=physical,
+            bound_nodes=bound_nodes,
+        )
     if not allow_index:
         # Scans-only planning for clauses with evaluation-order-dependent
         # patterns: even *inline literal* seeks are unsafe there, because a
@@ -503,22 +623,7 @@ def _plan_pattern(
     first = pattern.elements[0]
     assert isinstance(first, NodePattern)
     first_path = _access_path(first, sargable, graph, virtual, indexes, estimator)
-    # Reversing changes the order nodes/relationships are appended to a
-    # bound path variable and to a variable-length relationship's hop
-    # list, so only anonymous, fixed-length paths are eligible; and since
-    # it also changes the order in which element property maps are
-    # evaluated, every property value must be static (a literal or
-    # parameter) — an expression like ``{w: a.prop}`` may reference a
-    # variable the forward traversal binds first.
-    can_reverse = (
-        len(pattern.elements) > 2
-        and pattern.variable is None
-        and not any(
-            isinstance(element, RelationshipPattern) and element.is_variable_length
-            for element in pattern.elements
-        )
-        and _pattern_properties_static(pattern)
-    )
+    can_reverse = _reversible(pattern)
     chosen_elements = pattern.elements
     chosen_path = first_path
     is_reversed = False
@@ -557,7 +662,125 @@ def _plan_pattern(
         reversed=is_reversed,
         estimated_rows=estimated,
         physical=physical,
+        bound_nodes=bound_nodes,
     )
+
+
+def _reversible(pattern: PathPattern) -> bool:
+    """May the pattern be walked from its last node instead of its first?
+
+    Reversing changes the order nodes/relationships are appended to a
+    bound path variable and to a variable-length relationship's hop list,
+    so only anonymous, fixed-length paths are eligible; and since it also
+    changes the order in which element property maps are evaluated, every
+    property value must be static (a literal or parameter) — an expression
+    like ``{w: a.prop}`` may reference a variable the forward traversal
+    binds first.
+    """
+    return (
+        len(pattern.elements) > 2
+        and pattern.variable is None
+        and not any(
+            isinstance(element, RelationshipPattern) and element.is_variable_length
+            for element in pattern.elements
+        )
+        and _pattern_properties_static(pattern)
+    )
+
+
+def _anchored_start(
+    pattern: PathPattern, bound: Union[set[str], frozenset]
+) -> Optional[tuple[tuple, AccessPath, bool]]:
+    """``(elements, start, reversed)`` starting at an already-bound element.
+
+    In order of preference: the first node; the first relationship (its
+    endpoints seed the walk, in the written orientation); then, for a
+    reversible pattern, the last node or the last relationship.  A bound
+    start yields at most one node (two orientations for a relationship),
+    so it beats every scan and seek.  Variable-length relationships are
+    never anchors (their variable binds a list), and a shortestPath search
+    can only start at its source.
+    """
+    elements = pattern.elements
+    first = elements[0]
+    if first.variable in bound:
+        return elements, _argument(ARGUMENT, first.variable), False
+    if pattern.shortest is not None or len(elements) < 3:
+        return None
+    rel = elements[1]
+    if rel.variable in bound and not rel.is_variable_length:
+        return elements, _argument(REL_ARGUMENT, rel.variable, rel.direction), False
+    if not _reversible(pattern):
+        return None
+    if elements[-1].variable in bound:
+        return _reverse_elements(elements), _argument(ARGUMENT, elements[-1].variable), True
+    if elements[-2].variable in bound:
+        flipped = _reverse_elements(elements)
+        return flipped, _argument(REL_ARGUMENT, elements[-2].variable, flipped[1].direction), True
+    return None
+
+
+def _argument(kind: str, variable: str, direction: str = "both") -> AccessPath:
+    return AccessPath(kind=kind, variable=variable, direction=direction, estimated_rows=1.0)
+
+
+def _plan_exists(expr: Expression, bound: set[str], plan_pattern) -> list[PatternPlan]:
+    """Plans for the EXISTS sub-patterns of ``expr``, evaluated in ``bound``.
+
+    Each EXISTS walks its patterns in written order from the enclosing row,
+    so a later pattern also sees the variables of the earlier ones.  Its
+    WHERE feeds index seeks exactly like a MATCH clause's, under the same
+    evaluation-order guard.  (A nested EXISTS is planned against the outer
+    scope only; missing a bound name merely forgoes an anchor.)
+    """
+    plans: list[PatternPlan] = []
+    for sub in walk_expression(expr):
+        if not isinstance(sub, ExistsPattern):
+            continue
+        scopes: list[set[str]] = []
+        scope = set(bound)
+        for pattern in sub.patterns:
+            scopes.append(scope)
+            scope = scope | _pattern_variable_names(pattern)
+        external = any(
+            _pattern_has_external_reads(pattern, before)
+            for pattern, before in zip(sub.patterns, scopes)
+        )
+        sargable = _SargablePredicates() if external else _sargable_predicates(sub.where)
+        plans.extend(
+            plan_pattern(pattern, sargable, before, allow_index=not external)
+            for pattern, before in zip(sub.patterns, scopes)
+        )
+    return plans
+
+
+def _reads_no_input(clause: MatchClause, bound: set[str]) -> bool:
+    """Does matching ``clause``'s patterns read nothing from its input rows?
+
+    True when no pattern variable is bound before the clause and every
+    element property value is a literal or parameter (so neither a bound
+    variable nor a per-row function such as ``rand()`` can make two rows
+    match differently).  The WHERE may read anything: it runs per joined
+    row either way.
+    """
+    return all(
+        not (_pattern_variable_names(pattern) & bound)
+        and _pattern_properties_static(pattern)
+        for pattern in clause.patterns
+    )
+
+
+def _may_multiply_rows(clause, several_rows: bool) -> bool:
+    """Can the rows after ``clause`` be several, given its input could be?
+
+    MATCH, UNWIND, MERGE and CALL may emit many rows per input row; every
+    other clause is treated as keeping the count where it was.  (A WITH
+    that narrows to one row still leaves the flag set: replaying a
+    one-row input is correct, it only records one table.)
+    """
+    if isinstance(clause, (MatchClause, UnwindClause, MergeClause, CallClause)):
+        return True
+    return several_rows
 
 
 def _access_path(
@@ -893,7 +1116,7 @@ def _connected_hash_join(
     }
     if not shared or not shared <= node_variables:
         return None
-    if plan.elements[0].variable in shared:
+    if plan.elements[0].variable in shared or plan.start.variable is not None:
         return None  # the nested loop starts bound — already near-free
     if not _pattern_properties_static(plan.pattern):
         return None
@@ -1026,9 +1249,13 @@ def _pattern_has_external_reads(pattern: PathPattern, bound_before: set[str]) ->
 def _advance_bound_variables(clause, bound: set[str]) -> set[str]:
     """Variables visible after ``clause``, given ``bound`` before it.
 
-    Only used to inform join ordering (a bound start variable makes a
-    pattern near-free), so over- or under-approximating here affects plan
-    quality, never results.
+    Join ordering and bound-anchor starts only use it for plan quality
+    (an anchor a row does not bind falls back to the head-first walk),
+    but :func:`_reads_no_input` decides from it whether a MATCH clause is
+    replayed once per stage.  So it must never *under*-approximate: a
+    name a clause binds but this set misses would make a correlated
+    MATCH look uncorrelated, and replaying the first row's matches for
+    every row would return wrong rows.  Over-approximating is safe.
     """
     if isinstance(clause, (MatchClause, CreateClause)):
         out = set(bound)
@@ -1447,12 +1674,16 @@ class CompiledCondition:
     ``is_query`` distinguishes condition queries (MATCH/WITH pipelines)
     from plain predicates; ``has_exists`` tells the trigger engine whether
     evaluating the predicate needs a full executor (for EXISTS patterns)
-    or can run through the bare expression evaluator.
+    or can run through the bare expression evaluator.  When it does,
+    ``exists_query`` wraps the predicate as ``RETURN <predicate>`` so its
+    EXISTS sub-patterns are planned (and cached) like any query's
+    patterns, starting at whatever the bindings row binds.
     """
 
     parsed: Union[Expression, Query]
     is_query: bool
     has_exists: bool
+    exists_query: Optional[Query] = None
 
 
 class PlanCache:
@@ -1513,6 +1744,7 @@ class PlanCache:
         text: str,
         graph,
         virtual_label_names: frozenset = frozenset(),
+        bound_names: frozenset = frozenset(),
     ) -> tuple[Query, QueryPlan]:
         """Parse and plan ``text`` for ``graph`` (both cached).
 
@@ -1520,9 +1752,10 @@ class PlanCache:
         unchanged; creating or dropping a property index bumps the epoch
         and evicts the stale entry on the next lookup.  Virtual-label
         names participate in the key, so registering a new virtual label
-        re-plans rather than reusing a plan that ignored it.
+        re-plans rather than reusing a plan that ignored it; so do the
+        names the caller's initial row binds, which patterns may start at.
         """
-        key = (text, _graph_token(graph), virtual_label_names)
+        key = (text, _graph_token(graph), virtual_label_names, bound_names)
         epoch = _graph_epoch(graph)
         with self._lock:
             entry = self._plans.get(key)
@@ -1534,7 +1767,7 @@ class PlanCache:
                 del self._plans[key]
                 self.stats.plan_invalidations += 1
         query = self.parse(text)
-        plan = plan_query(query, graph, virtual_label_names)
+        plan = plan_query(query, graph, virtual_label_names, bound_names)
         with self._lock:
             self.stats.plan_misses += 1
             self._insert(self._plans, key, _PlanEntry(epoch=epoch, query=query, plan=plan))
@@ -1545,6 +1778,7 @@ class PlanCache:
         query: Query,
         graph,
         virtual_label_names: frozenset = frozenset(),
+        bound_names: frozenset = frozenset(),
     ) -> QueryPlan:
         """Plan an already-parsed query (cached by object identity).
 
@@ -1554,7 +1788,7 @@ class PlanCache:
         The entry keeps a reference to ``query``, so the id()-based key can
         never alias a different, later object.
         """
-        key = (id(query), _graph_token(graph), virtual_label_names)
+        key = (id(query), _graph_token(graph), virtual_label_names, bound_names)
         epoch = _graph_epoch(graph)
         with self._lock:
             entry = self._parsed_plans.get(key)
@@ -1565,7 +1799,7 @@ class PlanCache:
                     return entry.plan
                 del self._parsed_plans[key]
                 self.stats.plan_invalidations += 1
-        plan = plan_query(query, graph, virtual_label_names)
+        plan = plan_query(query, graph, virtual_label_names, bound_names)
         with self._lock:
             self.stats.plan_misses += 1
             self._insert(
@@ -1590,11 +1824,17 @@ class PlanCache:
                 return cached
         try:
             expression = parse_expression(text)
+            has_exists = any(
+                isinstance(sub, ExistsPattern) for sub in walk_expression(expression)
+            )
             compiled = CompiledCondition(
                 parsed=expression,
                 is_query=False,
-                has_exists=any(
-                    isinstance(sub, ExistsPattern) for sub in walk_expression(expression)
+                has_exists=has_exists,
+                exists_query=(
+                    Query(clauses=(ReturnClause(items=(ProjectionItem(expression),)),))
+                    if has_exists
+                    else None
                 ),
             )
         except CypherSyntaxError:

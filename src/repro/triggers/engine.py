@@ -416,7 +416,8 @@ class TriggerEngine:
         """Rows surviving the WHEN condition (one empty row when it is absent)."""
         if trigger.condition is None:
             return [{}]
-        parsed = self._parse_condition(trigger)
+        compiled = self._compiled_condition(trigger)
+        parsed = compiled.parsed
         try:
             if isinstance(parsed, Query):
                 # Condition queries end in a wildcard RETURN, a pipeline
@@ -433,7 +434,7 @@ class TriggerEngine:
             # itself now early-exits: the executor's pattern pipeline stops
             # at the first witness row.)
             value = self._evaluate_condition_expression(
-                parsed, binding.variables, tx, binding
+                parsed, binding.variables, tx, binding, compiled.exists_query
             )
             return [dict(binding.variables)] if value is True else []
         except TransactionAborted:
@@ -447,12 +448,18 @@ class TriggerEngine:
         row: dict[str, Any],
         tx: Transaction,
         binding: TriggerBindings,
+        exists_query: Optional[Query],
     ) -> Any:
         executor: list[QueryExecutor] = []  # built lazily, shared across EXISTS evaluations
 
         def match_exists(exists: ExistsPattern, exists_row: dict[str, Any]) -> bool:
             if not executor:
-                executor.append(self._executor(tx, binding))
+                created = self._executor(tx, binding)
+                if exists_query is not None:
+                    # Plan the EXISTS sub-patterns against the bindings row,
+                    # so they start at the transition variables they name.
+                    created.plan_expression(exists_query, row)
+                executor.append(created)
             return executor[0]._exists_matcher(exists, exists_row)
 
         context = EvaluationContext(
@@ -461,9 +468,6 @@ class TriggerEngine:
             pattern_matcher=match_exists,
         )
         return evaluate(parsed, row, context)
-
-    def _parse_condition(self, trigger: TriggerDefinition):
-        return self._compiled_condition(trigger).parsed
 
     def _compiled_condition(self, trigger: TriggerDefinition):
         try:
