@@ -51,7 +51,6 @@ from __future__ import annotations
 import datetime as _dt
 import heapq
 import itertools
-from dataclasses import replace as _dc_replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..graph.model import Node, Relationship
@@ -96,6 +95,7 @@ from .ast import (
 from .errors import CypherError, CypherRuntimeError, CypherTypeError, UnsupportedFeatureError
 from .expressions import EvaluationContext, evaluate
 from .functions import AGGREGATE_FUNCTIONS, is_aggregate_function
+from .kernel import UNSET, NodeMatcher, PatternKernel, RelMatcher, inline_equal
 from .physical import HashJoin, JoinOperator
 from .planner import (
     AGGREGATE,
@@ -132,6 +132,12 @@ _NO_NAMES: frozenset = frozenset()
 #: Sentinel distinguishing "no first row" from a row when peeking a
 #: pipeline to finalise the presorted flag.
 _NO_ROW = object()
+
+#: The relationships a walk has used before its first hop.
+_NO_RELS: frozenset = frozenset()
+
+#: A relationship direction seen from the other endpoint.
+_FLIPPED = {"out": "in", "in": "out", "both": "both"}
 
 
 class ProcedureInvocation:
@@ -197,11 +203,13 @@ class QueryExecutor:
         #: pre-streaming behaviour); baseline for equivalence tests/benchmarks.
         self.eager = eager
         #: Apply the planner's cost-based multi-pattern join order, its
-        #: bound-variable pattern starts and its once-per-stage replay of
-        #: uncorrelated MATCH clauses.  Off, a multi-pattern MATCH joins its
-        #: patterns in clause order, every pattern walks from its first
-        #: node and every clause re-matches per input row — the naive
-        #: baseline the differential tests compare against.
+        #: bound-variable and relationship-first pattern starts, its
+        #: pattern reversals and its once-per-stage replay of uncorrelated
+        #: MATCH clauses.  Off, a multi-pattern MATCH joins its patterns in
+        #: clause order, every pattern walks from its first node (a seek
+        #: on that node may still narrow its candidates) and every clause
+        #: re-matches per input row — the naive baseline the differential
+        #: tests compare against.
         self.join_ordering = join_ordering
         #: Force the recursive path enumerator (and per-start shortest-path
         #: enumeration) instead of the iterative/accelerated routes.  The
@@ -211,6 +219,10 @@ class QueryExecutor:
         self._plan: QueryPlan | None = None
         self._base_context: EvaluationContext | None = None
         self._match_deps: dict[int, tuple[str, ...]] = {}
+        #: Kernels of patterns no plan covers, and virtual-label members
+        #: in id order, both compiled once per executor.
+        self._kernels: dict[tuple, tuple[PathPattern, PatternKernel]] = {}
+        self._virtual_order: dict[str, list[int]] = {}
         #: Whether a ``presorted`` projection may trust its input order.
         #: Armed per :meth:`_stream_rows` pass and cleared the moment an
         #: ``OrderedIndexScan`` start falls back to an unordered scan.
@@ -441,9 +453,16 @@ class QueryExecutor:
 
     def _exists_matcher(self, exists: ExistsPattern, row: dict[str, Any]) -> bool:
         # Pulls the lazy pattern pipeline and stops at the first surviving
-        # row: EXISTS never needs more than one witness.
-        for candidate in self._iter_patterns(exists.patterns, dict(row)):
-            if exists.where is None or self._evaluate(exists.where, candidate) is True:
+        # row: EXISTS never needs more than one witness.  The walk never
+        # mutates ``row``, so it needs no defensive copy.
+        patterns = exists.patterns
+        if len(patterns) == 1:
+            candidates = self._iter_pattern(patterns[0], row)
+        else:
+            candidates = self._iter_patterns(patterns, row)
+        where = exists.where
+        for candidate in candidates:
+            if where is None or self._evaluate(where, candidate) is True:
                 return True
         return False
 
@@ -453,6 +472,9 @@ class QueryExecutor:
         """Lazily join several path patterns, nested-loop style."""
         if not patterns:
             yield row
+            return
+        if len(patterns) == 1:
+            yield from self._iter_pattern(patterns[0], row)
             return
         for extended in self._iter_pattern(patterns[0], row):
             yield from self._iter_patterns(patterns[1:], extended)
@@ -593,6 +615,10 @@ class QueryExecutor:
             return
         pattern, operator = steps[index]
         if operator is None:
+            if index == len(steps) - 1:
+                # The last nested-loop step yields its extensions directly.
+                yield from self._iter_pattern(pattern, row)
+                return
             for extended in self._iter_pattern(pattern, row):
                 yield from self._iter_join_steps(steps, index + 1, extended, join_state)
             return
@@ -681,10 +707,6 @@ class QueryExecutor:
             join_state[key] = table
         return table
 
-    def _match_pattern(self, pattern: PathPattern, row: dict) -> list[dict]:
-        """All ways of matching ``pattern`` starting from the bindings in ``row``."""
-        return list(self._iter_pattern(pattern, row))
-
     def _dependency_key(self, pattern: PathPattern, row: dict) -> tuple:
         """Identity-based cache key over a pattern's dependency bindings.
 
@@ -718,68 +740,103 @@ class QueryExecutor:
             self._match_deps[id(pattern)] = dependencies
         return dependencies
 
-    def _iter_pattern(self, pattern: PathPattern, row: dict) -> Iterator[dict]:
-        """Lazily yield every way of matching ``pattern`` from ``row``."""
-        elements = pattern.elements
+    def _kernel(self, pattern: PathPattern, merge: bool) -> PatternKernel:
+        """The kernel of a pattern no plan covers, compiled once per executor."""
+        key = (id(pattern), merge)
+        entry = self._kernels.get(key)
+        if entry is None or entry[0] is not pattern:
+            kernel = PatternKernel(
+                pattern, pattern.elements, frozenset(self.virtual_labels), merge
+            )
+            entry = self._kernels[key] = (pattern, kernel)
+        return entry[1]
+
+    def _iter_pattern(
+        self, pattern: PathPattern, row: dict, merge: bool = False
+    ) -> Iterator[dict]:
+        """Lazily yield every way of matching ``pattern`` from ``row``.
+
+        ``row`` is never mutated: a hop copies the bindings only to bind a
+        new variable, so a match that binds nothing new is ``row`` itself.
+        ``merge`` compiles an unplanned pattern as MERGE's (planned MERGE
+        patterns carry the mark in their plan).
+        """
         access: AccessPath | None = None
-        if self._plan is not None:
-            pattern_plan = self._plan.for_pattern(pattern)
-            if pattern_plan is not None:
-                elements = pattern_plan.elements
-                access = pattern_plan.start
-                if pattern_plan.reads_row:
-                    if pattern_plan.bound_nodes and not _bound_nodes_match(
-                        pattern_plan.bound_nodes, row
-                    ):
-                        return
-                    anchor = access.variable
-                    if anchor is not None:
-                        if not self.join_ordering or anchor not in row:
-                            # The naive baseline, or a row that does not
-                            # bind the planned anchor after all: walk from
-                            # the first node.
-                            elements = pattern.elements
-                            access = None
-                        elif access.kind == REL_ARGUMENT:
-                            yield from self._iter_from_bound_relationship(
-                                pattern, elements, row[anchor], row
+        pattern_plan = self._plan.for_pattern(pattern) if self._plan is not None else None
+        if pattern_plan is None:
+            kernel = self._kernel(pattern, merge)
+        else:
+            kernel = pattern_plan.kernel
+            access = pattern_plan.start
+            if not self.join_ordering and (
+                pattern_plan.reversed or access.kind in (REL_INDEX, REL_ARGUMENT)
+            ):
+                # The naive baseline walks every pattern from its first node.
+                kernel = pattern_plan.written_kernel
+                access = None
+            if pattern_plan.reads_row:
+                if pattern_plan.bound_nodes and not _bound_nodes_match(
+                    pattern_plan.bound_nodes, row
+                ):
+                    return
+                anchor = access.variable if access is not None else None
+                if anchor is not None:
+                    if not self.join_ordering or anchor not in row:
+                        # The naive baseline, or a row that does not bind
+                        # the planned anchor after all: walk from the
+                        # first node.
+                        kernel = pattern_plan.written_kernel
+                        access = None
+                    elif access.kind == REL_ARGUMENT:
+                        # A relationship deleted earlier in the transaction
+                        # (a trigger's ``OLD``) keeps its last snapshot, as
+                        # the walk from the first node uses it; a null or
+                        # non-relationship binding matches nothing.
+                        rel = row[anchor]
+                        if isinstance(rel, Relationship):
+                            current = self.graph.relationship_or_none(rel.id)
+                            yield from self._iter_from_relationships(
+                                kernel, (current or rel,), row
                             )
-                            return
+                        return
         if pattern.shortest is not None:
-            yield from self._iter_shortest(pattern, elements, row, access)
+            yield from self._iter_shortest(kernel, row, access)
             return
         if access is not None and access.kind == REL_INDEX:
             relationships = self._rel_seek_candidates(access, row)
             if relationships is not None:
-                yield from self._iter_pattern_from_relationships(
-                    pattern, elements, relationships, row
-                )
+                yield from self._iter_from_relationships(kernel, relationships, row)
                 return
             # Index gone or value unusable: degrade to the node-anchored scan.
             access = None
-        first = elements[0]
-        assert isinstance(first, NodePattern)
-        for node, bindings in self._candidate_nodes(first, row, access):
-            yield from self._extend_path(
-                elements, 1, node, bindings, used_rels=set(),
-                path_nodes=[node], path_rels=[], pattern=pattern,
-            )
-
-    def _iter_from_bound_relationship(
-        self, pattern: PathPattern, elements: Sequence, rel: Any, row: dict
-    ) -> Iterator[dict]:
-        """Match a pattern outward from its bound first relationship.
-
-        A relationship deleted earlier in the transaction (a trigger's
-        ``OLD``) keeps its last snapshot, exactly as the walk from the
-        first node uses it; a null or non-relationship binding matches
-        nothing, again as that walk finds.
-        """
-        if isinstance(rel, Relationship):
-            current = self.graph.relationship_or_none(rel.id)
-            yield from self._iter_pattern_from_relationships(
-                pattern, elements, (current or rel,), row
-            )
+        memo = kernel.new_memo()
+        first = kernel.matchers[0]
+        if not kernel.single:
+            path = kernel.path_variable is not None
+            for node, bindings in self._candidate_nodes(first, row, access, memo):
+                yield from self._walk(
+                    kernel, 1, node, bindings, memo, _NO_RELS,
+                    [node] if path else None, [] if path else None,
+                )
+            return
+        # A lone node pattern yields straight from its scan.
+        variable = first.variable
+        if variable is not None and variable in row:
+            if self._bound_start(first, row, memo) is not None:
+                yield row
+            return
+        passes = self._node_passes
+        candidates, check = self._scan_nodes(first, row, access)
+        if variable is None:
+            for node in candidates:
+                if passes(check, node, row, memo):
+                    yield row
+            return
+        for node in candidates:
+            if passes(check, node, row, memo):
+                bindings = dict(row)
+                bindings[variable] = node
+                yield bindings
 
     def _rel_seek_candidates(
         self, access: AccessPath, row: dict
@@ -800,59 +857,64 @@ class QueryExecutor:
             # Unhashable probe value: the index cannot answer eagerly.
             return None
 
-    def _iter_pattern_from_relationships(
+    def _iter_from_relationships(
         self,
-        pattern: PathPattern,
-        elements: Sequence,
+        kernel: PatternKernel,
         relationships: Iterable[Relationship],
         row: dict,
     ) -> Iterator[dict]:
-        """Match a pattern outward from index-seeked first relationships.
+        """Match a pattern outward from seeked or bound first relationships.
 
-        The seeked relationship pins ``elements[0..2]`` — both endpoint
-        node patterns are verified exactly as the node-anchored traversal
-        would, an undirected pattern tries both orientations (one for a
-        self-loop, matching the adjacency scan), and the rest of the
-        pattern extends through the ordinary :meth:`_extend_path` walk.
+        The relationship pins ``matchers[0..2]`` — both endpoint node
+        patterns are verified exactly as the node-anchored walk would, an
+        undirected pattern tries both orientations (one for a self-loop,
+        matching the adjacency scan), and the rest of the pattern extends
+        through the ordinary :meth:`_walk`.
         """
-        node_first = elements[0]
-        rel_pattern = elements[1]
-        node_second = elements[2]
-        assert isinstance(node_first, NodePattern)
-        assert isinstance(rel_pattern, RelationshipPattern)
-        assert isinstance(node_second, NodePattern)
+        memo = kernel.new_memo()
+        first, rel_matcher, second = kernel.matchers[:3]
+        direction = rel_matcher.direction
+        rel_variable = rel_matcher.variable
+        path = kernel.path_variable is not None
+        done = len(kernel.matchers) == 3 and not path
+        node_or_none = self.graph.node_or_none
         for rel in relationships:
-            if rel_pattern.direction == "out":
-                orientations = [(rel.start, rel.end)]
-            elif rel_pattern.direction == "in":
-                orientations = [(rel.end, rel.start)]
+            if direction == "out":
+                orientations: tuple = ((rel.start, rel.end),)
+            elif direction == "in":
+                orientations = ((rel.end, rel.start),)
             elif rel.start == rel.end:
-                orientations = [(rel.start, rel.end)]
+                orientations = ((rel.start, rel.end),)
             else:
-                orientations = [(rel.start, rel.end), (rel.end, rel.start)]
+                orientations = ((rel.start, rel.end), (rel.end, rel.start))
             for start_id, end_id in orientations:
-                if not (self.graph.has_node(start_id) and self.graph.has_node(end_id)):
+                start_node = node_or_none(start_id)
+                end_node = node_or_none(end_id)
+                if start_node is None or end_node is None:
                     continue
-                start_node = self.graph.node(start_id)
-                bindings = self._bind_node(node_first, start_node, row)
-                if bindings is None:
+                bindings = self._bind(first, start_node, row, memo)
+                if bindings is None or not self._rel_passes(
+                    rel_matcher, rel, bindings, memo
+                ):
                     continue
-                if not self._relationship_satisfies(rel_pattern, rel, start_node, bindings):
+                if rel_variable is not None:
+                    if rel_variable in bindings:
+                        if not _same_item(bindings[rel_variable], rel):
+                            continue
+                    else:
+                        bindings = dict(bindings)
+                        bindings[rel_variable] = rel
+                target = self._bind(second, end_node, bindings, memo)
+                if target is None:
                     continue
-                if rel_pattern.variable is not None:
-                    if rel_pattern.variable in bindings and not _same_item(
-                        bindings[rel_pattern.variable], rel
-                    ):
-                        continue
-                    bindings = dict(bindings)
-                    bindings[rel_pattern.variable] = rel
-                end_node = self.graph.node(end_id)
-                target_bindings = self._bind_node(node_second, end_node, bindings)
-                if target_bindings is None:
+                if done:
+                    yield target
                     continue
-                yield from self._extend_path(
-                    elements, 3, end_node, target_bindings, used_rels={rel.id},
-                    path_nodes=[start_node, end_node], path_rels=[rel], pattern=pattern,
+                yield from self._walk(
+                    kernel, 3, end_node, target, memo,
+                    frozenset((rel.id,)) if kernel.track_used else _NO_RELS,
+                    [start_node, end_node] if path else None,
+                    [rel] if path else None,
                 )
 
     # ------------------------------------------------------------------
@@ -868,77 +930,72 @@ class QueryExecutor:
     # or ``naive_paths=True`` takes the enumerating ground-truth route.
 
     def _iter_shortest(
-        self, pattern: PathPattern, elements: Sequence, row: dict,
-        access: AccessPath | None,
+        self, kernel: PatternKernel, row: dict, access: AccessPath | None
     ) -> Iterator[dict]:
-        source_pattern, rel_pattern, target_pattern = elements
-        min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
-        max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_hops
+        source, rel_matcher, _ = kernel.matchers
+        min_hops = rel_matcher.min_hops if rel_matcher.min_hops is not None else 1
+        max_hops = (
+            rel_matcher.max_hops if rel_matcher.max_hops is not None else self.max_hops
+        )
         if access is not None and access.kind == REL_INDEX:
             access = None
-        for node, bindings in self._candidate_nodes(source_pattern, row, access):
+        memo = kernel.new_memo()
+        for node, bindings in self._candidate_nodes(source, row, access, memo):
             yield from self._shortest_from(
-                pattern, rel_pattern, target_pattern, node, bindings,
-                min_hops, max_hops,
+                kernel, node, bindings, min_hops, max_hops, memo
             )
 
     def _shortest_from(
-        self, pattern, rel_pattern, target_pattern, start, bindings,
-        min_hops, max_hops,
+        self, kernel, start, bindings, min_hops, max_hops, memo
     ) -> Iterator[dict]:
-        variable = target_pattern.variable
+        _, rel_matcher, target = kernel.matchers
+        variable = target.variable
         bound = bindings.get(variable) if variable is not None else None
         fast = not self.naive_paths and min_hops <= 1
         if isinstance(bound, Node):
             if bound.id == start.id:
                 if min_hops <= 0:
-                    yield from self._emit_shortest(
-                        pattern, rel_pattern, target_pattern, start, bindings, ()
-                    )
+                    yield from self._emit_shortest(kernel, start, bindings, (), memo)
                 return
             if fast:
                 rels = bidirectional_shortest(
                     start.id,
                     bound.id,
-                    self._shortest_expander(rel_pattern, bindings),
-                    self._shortest_expander(_flip_direction(rel_pattern), bindings),
+                    self._shortest_expander(rel_matcher, bindings, memo, False),
+                    self._shortest_expander(rel_matcher, bindings, memo, True),
                     max_hops,
                 )
             else:
                 rels = self._shortest_naive(
-                    rel_pattern, start, bindings, min_hops, max_hops
+                    rel_matcher, start, bindings, min_hops, max_hops, memo
                 ).get(bound.id)
             if rels is not None:
-                yield from self._emit_shortest(
-                    pattern, rel_pattern, target_pattern, start, bindings, rels
-                )
+                yield from self._emit_shortest(kernel, start, bindings, rels, memo)
             return
         if fast:
             best = single_source_shortest(
-                start.id, self._shortest_expander(rel_pattern, bindings), max_hops
+                start.id, self._shortest_expander(rel_matcher, bindings, memo, False),
+                max_hops,
             )
         else:
             best = self._shortest_naive(
-                rel_pattern, start, bindings, min_hops, max_hops
+                rel_matcher, start, bindings, min_hops, max_hops, memo
             )
         if min_hops <= 0:
-            yield from self._emit_shortest(
-                pattern, rel_pattern, target_pattern, start, bindings, ()
-            )
+            yield from self._emit_shortest(kernel, start, bindings, (), memo)
         for target_id in sorted(
             best, key=lambda t: (len(best[t]), tuple(r.id for r in best[t]))
         ):
-            yield from self._emit_shortest(
-                pattern, rel_pattern, target_pattern, start, bindings, best[target_id]
-            )
+            yield from self._emit_shortest(kernel, start, bindings, best[target_id], memo)
 
     def _shortest_naive(
-        self, rel_pattern, start, bindings, min_hops, max_hops
+        self, rel_matcher, start, bindings, min_hops, max_hops, memo
     ) -> dict[int, tuple]:
         """Ground truth: enumerate every relationship-unique path, keep the
         per-target minimum by (length, relationship-id tuple)."""
         floor = max(min_hops, 1)
         best: dict[int, tuple] = {}
+        node_or_none = self.graph.node_or_none
 
         def recurse(node: Node, hops: list, visited: set[int]) -> None:
             if len(hops) >= floor and node.id != start.id:
@@ -948,105 +1005,151 @@ class QueryExecutor:
                     best[node.id] = tuple(hops)
             if len(hops) >= max_hops:
                 return
-            for rel in self._candidate_relationships(rel_pattern, node, bindings, ignore_bound=True):
+            for rel in self._hop_candidates(rel_matcher, node.id, bindings, memo):
                 if rel.id in visited:
                     continue
-                other_id = rel.other_end(node.id)
-                if not self.graph.has_node(other_id):
-                    continue
-                recurse(self.graph.node(other_id), hops + [rel], visited | {rel.id})
+                other = node_or_none(rel.other_end(node.id))
+                if other is not None:
+                    recurse(other, hops + [rel], visited | {rel.id})
 
         recurse(start, [], set())
         return best
 
-    def _shortest_expander(self, rel_pattern, bindings):
-        """Close pattern predicate filtering over a BFS frontier expansion."""
+    def _shortest_expander(self, rel_matcher, bindings, memo, backwards: bool):
+        """Close pattern predicate filtering over a BFS frontier expansion
+        (``backwards`` walks the pattern's direction reversed)."""
+        direction = rel_matcher.direction
+        if backwards:
+            direction = _FLIPPED[direction]
+        has_node = self.graph.has_node
 
         def expand(node_id: int):
-            if not self.graph.has_node(node_id):
+            if not has_node(node_id):
                 return
-            node = self.graph.node(node_id)
-            for rel in self._candidate_relationships(
-                rel_pattern, node, bindings, ignore_bound=True
+            for rel in self._hop_candidates(
+                rel_matcher, node_id, bindings, memo, direction
             ):
                 other_id = rel.other_end(node_id)
-                if self.graph.has_node(other_id):
+                if has_node(other_id):
                     yield rel, other_id
 
         return expand
 
-    def _emit_shortest(
-        self, pattern, rel_pattern, target_pattern, start, bindings, rels
-    ) -> Iterator[dict]:
+    def _emit_shortest(self, kernel, start, bindings, rels, memo) -> Iterator[dict]:
         """Materialise one winning relationship tuple into a result row."""
+        _, rel_matcher, target = kernel.matchers
         nodes = [start]
         for rel in rels:
-            next_id = rel.other_end(nodes[-1].id)
-            if not self.graph.has_node(next_id):
+            next_node = self.graph.node_or_none(rel.other_end(nodes[-1].id))
+            if next_node is None:
                 return
-            nodes.append(self.graph.node(next_id))
-        target_bindings = self._bind_node(target_pattern, nodes[-1], bindings)
+            nodes.append(next_node)
+        target_bindings = self._bind(target, nodes[-1], bindings, memo)
         if target_bindings is None:
             return
         final = dict(target_bindings)
-        if rel_pattern.variable is not None:
-            final[rel_pattern.variable] = list(rels)
-        if pattern.variable is not None:
-            final[pattern.variable] = Path(nodes, list(rels))
+        if rel_matcher.variable is not None:
+            final[rel_matcher.variable] = list(rels)
+        if kernel.path_variable is not None:
+            final[kernel.path_variable] = Path(nodes, list(rels))
         yield final
 
-    def _extend_path(
+    # ------------------------------------------------------------------
+    # the matching kernel: expand and bind
+    # ------------------------------------------------------------------
+
+    def _walk(
         self,
-        elements: Sequence,
+        kernel: PatternKernel,
         index: int,
-        current_node: Node,
+        node: Node,
         bindings: dict,
-        used_rels: set[int],
-        path_nodes: list[Node],
-        path_rels: list[Relationship],
-        pattern: PathPattern,
+        memo: Optional[list],
+        used: frozenset,
+        path_nodes: Optional[list[Node]],
+        path_rels: Optional[list[Relationship]],
     ) -> Iterator[dict]:
-        if index >= len(elements):
+        """Extend a match from ``node`` across ``kernel.matchers[index:]``.
+
+        ``used`` holds the relationships matched so far when the pattern has
+        several (relationship uniqueness); ``path_nodes``/``path_rels`` are
+        ``None`` unless a path variable reads them.  The last hop yields its
+        rows directly, and a hop copies ``bindings`` only when it binds a
+        new variable.  Candidates come from the store's adjacency in
+        ascending relationship-id order.
+        """
+        matchers = kernel.matchers
+        if index >= len(matchers):
+            if path_nodes is None:
+                yield bindings
+                return
             final = dict(bindings)
-            if pattern.variable is not None:
-                final[pattern.variable] = Path(path_nodes, path_rels)
+            final[kernel.path_variable] = Path(path_nodes, path_rels)
             yield final
             return
-        rel_pattern = elements[index]
-        node_pattern = elements[index + 1]
-        assert isinstance(rel_pattern, RelationshipPattern)
-        assert isinstance(node_pattern, NodePattern)
-        if rel_pattern.is_variable_length:
+        rel_matcher = matchers[index]
+        node_matcher = matchers[index + 1]
+        if rel_matcher.var_length:
             yield from self._expand_variable_length(
-                rel_pattern, node_pattern, elements, index, current_node, bindings,
-                used_rels, path_nodes, path_rels, pattern,
+                kernel, index, node, bindings, memo, used, path_nodes, path_rels
             )
             return
-        for rel in self._candidate_relationships(rel_pattern, current_node, bindings):
-            if rel.id in used_rels:
-                continue
-            other_id = rel.other_end(current_node.id)
-            if not self.graph.has_node(other_id):
-                continue
-            other = self.graph.node(other_id)
-            new_bindings = self._bind_node(node_pattern, other, bindings)
-            if new_bindings is None:
-                continue
-            if rel_pattern.variable is not None:
-                if rel_pattern.variable in new_bindings and not _same_item(
-                    new_bindings[rel_pattern.variable], rel
-                ):
-                    continue
-                new_bindings = dict(new_bindings)
-                new_bindings[rel_pattern.variable] = rel
-            yield from self._extend_path(
-                elements, index + 2, other, new_bindings, used_rels | {rel.id},
-                path_nodes + [other], path_rels + [rel], pattern,
+        last = index + 2 >= len(matchers) and path_nodes is None
+        node_id = node.id
+        rel_variable = rel_matcher.variable
+        if rel_variable is not None and rel_variable in bindings:
+            candidates: Sequence[Relationship] = self._bound_relationship(
+                rel_matcher, node_id, bindings[rel_variable]
             )
+            rel_variable = None  # already bound: nothing new to bind
+        else:
+            candidates = self.graph.relationships_of(node_id, rel_matcher.direction)
+        types = rel_matcher.types
+        plain = not rel_matcher.entries and not rel_matcher.virtual
+        node_variable = node_matcher.variable
+        target_bound = node_variable is not None and node_variable in bindings
+        if target_bound:
+            node_variable = None
+        track_used = kernel.track_used
+        node_or_none = self.graph.node_or_none
+        rel_passes = self._rel_passes
+        node_passes = self._node_passes
+        for rel in candidates:
+            if plain:
+                if types is not None and rel.type not in types:
+                    continue
+            elif not rel_passes(rel_matcher, rel, bindings, memo):
+                continue
+            if rel.id in used:
+                continue
+            other = node_or_none(rel.end if rel.start == node_id else rel.start)
+            if other is None:
+                continue
+            if target_bound:
+                if not self._bound_target(node_matcher, other, bindings, memo):
+                    continue
+            elif not node_passes(node_matcher, other, bindings, memo):
+                continue
+            if rel_variable is None and node_variable is None:
+                extended = bindings
+            else:
+                extended = dict(bindings)
+                if rel_variable is not None:
+                    extended[rel_variable] = rel
+                if node_variable is not None:
+                    extended[node_variable] = other
+            if last:
+                yield extended
+            else:
+                yield from self._walk(
+                    kernel, index + 2, other, extended, memo,
+                    used | {rel.id} if track_used else used,
+                    path_nodes + [other] if path_nodes is not None else None,
+                    path_rels + [rel] if path_rels is not None else None,
+                )
 
     def _expand_variable_length(
-        self, rel_pattern, node_pattern, elements, index, current_node, bindings,
-        used_rels, path_nodes, path_rels, pattern,
+        self, kernel, index, current_node, bindings, memo, used, path_nodes, path_rels,
     ) -> Iterator[dict]:
         """Dispatch one ``-[:T*min..max]-`` hop to the best applicable route.
 
@@ -1059,33 +1162,55 @@ class QueryExecutor:
         .reachability_applicable` says the declared index covers the hop
         and the lazily rebuilt encoding did not decline.
         """
-        min_hops = rel_pattern.min_hops if rel_pattern.min_hops is not None else 1
-        max_hops = rel_pattern.max_hops if rel_pattern.max_hops is not None else self.max_hops
-        if not self.naive_paths:
-            rel_type = reachability_applicable(
-                self.graph, pattern, rel_pattern, elements, index, self.virtual_labels
-            )
-            if rel_type is not None:
-                accelerator = self.graph.reachability_index(rel_type)
-                if accelerator is not None and accelerator.ensure(self.graph):
-                    yield from self._expand_reachability(
-                        accelerator, rel_pattern, node_pattern, current_node,
-                        bindings, min_hops, max_hops,
-                    )
-                    return
-            yield from self._expand_variable_length_iterative(
-                rel_pattern, node_pattern, elements, index, current_node, bindings,
-                used_rels, path_nodes, path_rels, pattern, min_hops, max_hops,
+        rel_matcher = kernel.matchers[index]
+        min_hops = rel_matcher.min_hops if rel_matcher.min_hops is not None else 1
+        max_hops = (
+            rel_matcher.max_hops if rel_matcher.max_hops is not None else self.max_hops
+        )
+        if self.naive_paths:
+            yield from self._expand_variable_length_naive(
+                kernel, index, current_node, bindings, memo, used,
+                path_nodes, path_rels, min_hops, max_hops,
             )
             return
-        yield from self._expand_variable_length_naive(
-            rel_pattern, node_pattern, elements, index, current_node, bindings,
-            used_rels, path_nodes, path_rels, pattern, min_hops, max_hops,
+        rel_type = reachability_applicable(
+            self.graph, kernel.pattern, rel_matcher.element, kernel.elements, index,
+            self.virtual_labels,
+        )
+        if rel_type is not None:
+            accelerator = self.graph.reachability_index(rel_type)
+            if accelerator is not None and accelerator.ensure(self.graph):
+                yield from self._expand_reachability(
+                    accelerator, rel_matcher, kernel.matchers[index + 1],
+                    current_node, bindings, min_hops, max_hops, memo,
+                )
+                return
+        yield from self._expand_variable_length_iterative(
+            kernel, index, current_node, bindings, memo, used,
+            path_nodes, path_rels, min_hops, max_hops,
+        )
+
+    def _emit_variable_length(
+        self, kernel, index, node, bindings, memo, used, path_nodes, path_rels,
+        hops, trail, visited,
+    ) -> Iterator[dict]:
+        """Bind the target of a finished variable-length hop and walk on."""
+        target = self._bind(kernel.matchers[index + 1], node, bindings, memo)
+        if target is None:
+            return iter(())
+        variable = kernel.matchers[index].variable
+        if variable is not None:
+            target = dict(target)
+            target[variable] = list(hops)
+        return self._walk(
+            kernel, index + 2, node, target, memo, used | visited,
+            path_nodes + trail if path_nodes is not None else None,
+            path_rels + hops if path_rels is not None else None,
         )
 
     def _expand_variable_length_naive(
-        self, rel_pattern, node_pattern, elements, index, current_node, bindings,
-        used_rels, path_nodes, path_rels, pattern, min_hops, max_hops,
+        self, kernel, index, current_node, bindings, memo, used,
+        path_nodes, path_rels, min_hops, max_hops,
     ) -> Iterator[dict]:
         """The recursive ground-truth enumerator (differential baseline).
 
@@ -1093,42 +1218,36 @@ class QueryExecutor:
         named path binds its intermediate nodes (and a zero-hop match does
         not duplicate the start node).
         """
+        rel_matcher = kernel.matchers[index]
+        node_or_none = self.graph.node_or_none
 
         def recurse(
             node: Node,
             hops: list[Relationship],
             trail: list[Node],
-            visited_rels: set[int],
+            visited: set[int],
         ) -> Iterator[dict]:
             if len(hops) >= min_hops:
-                target_bindings = self._bind_node(node_pattern, node, bindings)
-                if target_bindings is not None:
-                    final_bindings = dict(target_bindings)
-                    if rel_pattern.variable is not None:
-                        final_bindings[rel_pattern.variable] = list(hops)
-                    yield from self._extend_path(
-                        elements, index + 2, node, final_bindings,
-                        used_rels | visited_rels,
-                        path_nodes + trail, path_rels + list(hops), pattern,
-                    )
+                yield from self._emit_variable_length(
+                    kernel, index, node, bindings, memo, used, path_nodes, path_rels,
+                    hops, trail, visited,
+                )
             if len(hops) >= max_hops:
                 return
-            for rel in self._candidate_relationships(rel_pattern, node, bindings, ignore_bound=True):
-                if rel.id in visited_rels or rel.id in used_rels:
+            for rel in self._hop_candidates(rel_matcher, node.id, bindings, memo):
+                if rel.id in visited or rel.id in used:
                     continue
-                other_id = rel.other_end(node.id)
-                if not self.graph.has_node(other_id):
-                    continue
-                other = self.graph.node(other_id)
-                yield from recurse(
-                    other, hops + [rel], trail + [other], visited_rels | {rel.id}
-                )
+                other = node_or_none(rel.other_end(node.id))
+                if other is not None:
+                    yield from recurse(
+                        other, hops + [rel], trail + [other], visited | {rel.id}
+                    )
 
         yield from recurse(current_node, [], [], set())
 
     def _expand_variable_length_iterative(
-        self, rel_pattern, node_pattern, elements, index, current_node, bindings,
-        used_rels, path_nodes, path_rels, pattern, min_hops, max_hops,
+        self, kernel, index, current_node, bindings, memo, used,
+        path_nodes, path_rels, min_hops, max_hops,
     ) -> Iterator[dict]:
         """Iterative DFS reproducing the naive enumerator's exact preorder.
 
@@ -1137,20 +1256,16 @@ class QueryExecutor:
         and its O(depth) chain of suspended generator frames; snapshots are
         only taken at emission time, where the naive route copies too.
         """
+        rel_matcher = kernel.matchers[index]
+        node_or_none = self.graph.node_or_none
         hops: list[Relationship] = []
         trail: list[Node] = []
         visited: set[int] = set()
 
         def emit(node: Node) -> Iterator[dict]:
-            target_bindings = self._bind_node(node_pattern, node, bindings)
-            if target_bindings is None:
-                return iter(())
-            final_bindings = dict(target_bindings)
-            if rel_pattern.variable is not None:
-                final_bindings[rel_pattern.variable] = list(hops)
-            return self._extend_path(
-                elements, index + 2, node, final_bindings, used_rels | visited,
-                path_nodes + trail, path_rels + list(hops), pattern,
+            return self._emit_variable_length(
+                kernel, index, node, bindings, memo, used, path_nodes, path_rels,
+                hops, trail, visited,
             )
 
         if min_hops <= 0:
@@ -1161,21 +1276,18 @@ class QueryExecutor:
             (
                 current_node,
                 None,
-                iter(self._candidate_relationships(
-                    rel_pattern, current_node, bindings, ignore_bound=True
-                )),
+                iter(self._hop_candidates(rel_matcher, current_node.id, bindings, memo)),
             )
         ]
         while stack:
             node, rel_in, candidates = stack[-1]
             descended = False
             for rel in candidates:
-                if rel.id in visited or rel.id in used_rels:
+                if rel.id in visited or rel.id in used:
                     continue
-                other_id = rel.other_end(node.id)
-                if not self.graph.has_node(other_id):
+                other = node_or_none(rel.other_end(node.id))
+                if other is None:
                     continue
-                other = self.graph.node(other_id)
                 hops.append(rel)
                 trail.append(other)
                 visited.add(rel.id)
@@ -1185,9 +1297,7 @@ class QueryExecutor:
                     stack.append((
                         other,
                         rel,
-                        iter(self._candidate_relationships(
-                            rel_pattern, other, bindings, ignore_bound=True
-                        )),
+                        iter(self._hop_candidates(rel_matcher, other.id, bindings, memo)),
                     ))
                     descended = True
                     break
@@ -1203,8 +1313,8 @@ class QueryExecutor:
                     trail.pop()
 
     def _expand_reachability(
-        self, accelerator, rel_pattern, node_pattern, current_node, bindings,
-        min_hops, max_hops,
+        self, accelerator, rel_matcher, node_matcher, current_node, bindings,
+        min_hops, max_hops, memo,
     ) -> Iterator[dict]:
         """Serve the hop from the interval encoding (final segment only).
 
@@ -1214,75 +1324,88 @@ class QueryExecutor:
         build DFS's relationship-id child order make the scan's preorder
         equal to the naive enumerator's emission order.
         """
-        variable = node_pattern.variable
+        variable = node_matcher.variable
         bound = bindings.get(variable) if variable is not None else None
         if isinstance(bound, Node):
             # Bound target: one O(1) interval-containment probe ("in"
             # swaps the roles — the bound node must be the ancestor).
-            if rel_pattern.direction == "out":
+            if rel_matcher.direction == "out":
                 hit = accelerator.reaches(current_node.id, bound.id, min_hops, max_hops)
             else:
                 hit = accelerator.reaches(bound.id, current_node.id, min_hops, max_hops)
-            if not hit:
-                return
-            if not self.graph.has_node(bound.id):
-                return
-            refreshed = self.graph.node(bound.id)
-            target_bindings = self._bind_node(node_pattern, refreshed, bindings)
-            if target_bindings is not None:
-                yield target_bindings
+            refreshed = self.graph.node_or_none(bound.id) if hit else None
+            if refreshed is not None:
+                target_bindings = self._bind(node_matcher, refreshed, bindings, memo)
+                if target_bindings is not None:
+                    yield target_bindings
             return
-        if rel_pattern.direction == "out":
+        if rel_matcher.direction == "out":
             targets = accelerator.descendants(current_node.id, min_hops, max_hops)
         else:
             targets = accelerator.ancestors(current_node.id, min_hops, max_hops)
+        node_or_none = self.graph.node_or_none
         for target_id in targets:
-            if not self.graph.has_node(target_id):
+            target = node_or_none(target_id)
+            if target is None:
                 continue
-            target_bindings = self._bind_node(
-                node_pattern, self.graph.node(target_id), bindings
-            )
+            target_bindings = self._bind(node_matcher, target, bindings, memo)
             if target_bindings is not None:
                 yield target_bindings
 
     def _candidate_nodes(
         self,
-        node_pattern: NodePattern,
+        matcher: NodeMatcher,
         row: dict,
-        access: AccessPath | None = None,
+        access: AccessPath | None,
+        memo: Optional[list],
     ) -> Iterator[tuple[Node, dict]]:
-        """Yield (node, updated bindings) pairs satisfying ``node_pattern``."""
-        variable = node_pattern.variable
+        """Yield (node, bindings) pairs satisfying a pattern's start node."""
+        variable = matcher.variable
         if variable is not None and variable in row:
-            bound = row[variable]
-            if bound is None:
-                return  # bound to null: matches nothing
-            if not isinstance(bound, Node):
-                raise CypherTypeError(f"variable {variable!r} is not bound to a node")
-            refreshed = self.graph.node(bound.id) if self.graph.has_node(bound.id) else bound
-            if self._node_satisfies(node_pattern, refreshed, row):
-                yield refreshed, dict(row)
+            node = self._bound_start(matcher, row, memo)
+            if node is not None:
+                yield node, row
             return
-        for node in self._scan_nodes(node_pattern, row, access):
-            if self._node_satisfies(node_pattern, node, row):
-                bindings = dict(row)
-                if variable is not None:
+        passes = self._node_passes
+        candidates, check = self._scan_nodes(matcher, row, access)
+        for node in candidates:
+            if passes(check, node, row, memo):
+                if variable is None:
+                    yield node, row
+                else:
+                    bindings = dict(row)
                     bindings[variable] = node
-                yield node, bindings
+                    yield node, bindings
+
+    def _bound_start(
+        self, matcher: NodeMatcher, row: dict, memo: Optional[list]
+    ) -> Node | None:
+        """The current snapshot of a bound start node, if it matches."""
+        bound = row[matcher.variable]
+        if bound is None:
+            return None  # bound to null: matches nothing
+        if not isinstance(bound, Node):
+            raise CypherTypeError(f"variable {matcher.variable!r} is not bound to a node")
+        node = self.graph.node_or_none(bound.id) or bound
+        return node if self._node_passes(matcher, node, row, memo) else None
 
     def _scan_nodes(
         self,
-        node_pattern: NodePattern,
+        matcher: NodeMatcher,
         row: dict,
         access: AccessPath | None = None,
-    ) -> Iterable[Node]:
+    ) -> tuple[Iterable[Node], NodeMatcher]:
         """Pick the cheapest starting candidate set for a node pattern.
 
-        A planned access path is advisory: every candidate it produces is
-        still checked by :meth:`_node_satisfies` (and any WHERE clause), so
-        an index path can only narrow the candidate set, never change the
+        Returns the candidates and the check they still need.  A planned
+        access path is advisory: every candidate it produces is still
+        checked by :meth:`_node_passes` (and any WHERE clause), so an
+        index path can only narrow the candidate set, never change the
         result.  When the index is gone or the looked-up value is null the
-        path degrades to the unplanned logic below.
+        path degrades to the unplanned logic below.  Scans read the
+        store's label membership in ascending id order, as every seek
+        returns its hits; a scan of the matcher's only label leaves just
+        its properties to check.
         """
         if access is not None and access.kind == INDEX:
             try:
@@ -1300,36 +1423,43 @@ class QueryExecutor:
                 # exactly as it did before planning existed.
                 hit = None
             if hit is not None:
-                return hit
+                return hit, matcher
         elif access is not None and access.kind == COMPOSITE:
             hit = self._composite_seek_candidates(access, row)
             if hit is not None:
-                return hit
+                return hit, matcher
         elif access is not None and access.kind == IN_LIST:
             hit = self._in_seek_candidates(access, row)
             if hit is not None:
-                return hit
+                return hit, matcher
         elif access is not None and access.kind == RANGE:
             hit = self._range_seek_candidates(access, row)
             if hit is not None:
-                return hit
+                return hit, matcher
         elif access is not None and access.kind == ORDERED:
             hit = self._ordered_scan_candidates(access)
             if hit is not None:
-                return hit
+                return hit, matcher
             # Index dropped or mixed-typed since planning: the label scan
             # below is correct but unordered, so the projection must sort.
             self._presorted_ok = False
-        for label in node_pattern.labels:
-            if label in self.virtual_labels:
-                ids = self.virtual_labels[label]
-                return [self.graph.node(i) for i in sorted(ids) if self.graph.has_node(i)]
-        if node_pattern.labels:
-            real_labels = [l for l in node_pattern.labels if l not in self.virtual_labels]
-            if real_labels:
-                best = min(real_labels, key=self.graph.count_nodes_with_label)
-                return self.graph.nodes_with_label(best)
-        return self.graph.nodes()
+        if matcher.virtual:
+            return self._virtual_members(matcher.virtual[0]), matcher
+        labels = matcher.labels
+        if len(labels) == 1:
+            return self.graph.nodes_with_label(labels[0]), matcher.scanned
+        if labels:
+            best = min(labels, key=self.graph.count_nodes_with_label)
+            return self.graph.nodes_with_label(best), matcher
+        return self.graph.nodes(), matcher
+
+    def _virtual_members(self, label: str) -> list[Node]:
+        """The live nodes of a virtual label, in ascending id order."""
+        ordered = self._virtual_order.get(label)
+        if ordered is None:
+            ordered = self._virtual_order[label] = sorted(self.virtual_labels[label])
+        node_or_none = self.graph.node_or_none
+        return [node for node in map(node_or_none, ordered) if node is not None]
 
     def _composite_seek_candidates(self, access: AccessPath, row: dict) -> list[Node] | None:
         """Composite-index probe: every property pinned at once.
@@ -1434,85 +1564,143 @@ class QueryExecutor:
         except TypeError:
             return None
 
-    def _node_satisfies(self, node_pattern: NodePattern, node: Node, row: dict) -> bool:
-        for label in node_pattern.labels:
-            if label in self.virtual_labels:
-                if node.id not in self.virtual_labels[label]:
-                    return False
-            elif label not in node.labels:
-                return False
-        for key, expr in node_pattern.properties:
-            expected = self._evaluate(expr, row)
-            if node.properties.get(key) != expected:
-                return False
-        return True
-
-    def _bind_node(self, node_pattern: NodePattern, node: Node, bindings: dict) -> dict | None:
-        """Check ``node`` against the pattern and return extended bindings (or None)."""
-        variable = node_pattern.variable
-        if variable is not None and variable in bindings:
-            existing = bindings[variable]
-            if existing is None:
-                return None  # bound to null: matches nothing
-            if not isinstance(existing, Node):
-                raise CypherTypeError(f"variable {variable!r} is not bound to a node")
-            if existing.id != node.id:
-                return None
-        if not self._node_satisfies(node_pattern, node, bindings):
-            return None
-        new_bindings = dict(bindings)
-        if variable is not None:
-            new_bindings[variable] = node
-        return new_bindings
-
-    def _candidate_relationships(
-        self,
-        rel_pattern: RelationshipPattern,
-        node: Node,
-        bindings: dict,
-        ignore_bound: bool = False,
-    ) -> list[Relationship]:
-        variable = rel_pattern.variable
-        if (
-            not ignore_bound
-            and variable is not None
-            and bindings.get(variable) is not None
-            and isinstance(bindings[variable], Relationship)
-        ):
-            candidates = [bindings[variable]]
-            if self.graph.has_relationship(candidates[0].id):
-                candidates = [self.graph.relationship(candidates[0].id)]
-        else:
-            direction = {"out": "out", "in": "in", "both": "both"}[rel_pattern.direction]
-            candidates = self.graph.relationships_of(node.id, direction=direction)
-        result = []
-        for rel in candidates:
-            if not self._relationship_satisfies(rel_pattern, rel, node, bindings):
-                continue
-            result.append(rel)
-        return result
-
-    def _relationship_satisfies(
-        self, rel_pattern: RelationshipPattern, rel: Relationship, node: Node, bindings: dict
+    def _node_passes(
+        self, matcher: NodeMatcher, node: Node, row: dict, memo: Optional[list]
     ) -> bool:
-        if rel.start != node.id and rel.end != node.id:
-            return False
-        if rel_pattern.direction == "out" and rel.start != node.id:
-            return False
-        if rel_pattern.direction == "in" and rel.end != node.id:
-            return False
-        if rel_pattern.types:
-            virtual_hit = any(
-                t in self.virtual_labels and rel.id in self.virtual_labels[t]
-                for t in rel_pattern.types
-            )
-            if not virtual_hit and rel.type not in rel_pattern.types:
+        """Does ``node`` carry the matcher's labels and inline properties?"""
+        if matcher.labels:
+            labels = node.labels
+            for label in matcher.labels:
+                if label not in labels:
+                    return False
+        if matcher.virtual:
+            node_id = node.id
+            virtual = self.virtual_labels
+            for label in matcher.virtual:
+                if node_id not in virtual[label]:
+                    return False
+        if matcher.entries:
+            return self._entries_pass(matcher, node.properties, row, memo)
+        return True
+
+    def _rel_passes(
+        self, matcher: RelMatcher, rel: Relationship, row: dict, memo: Optional[list]
+    ) -> bool:
+        """Does ``rel`` have one of the matcher's types and its properties?"""
+        types = matcher.types
+        if types is not None and rel.type not in types:
+            if not matcher.virtual:
                 return False
-        for key, expr in rel_pattern.properties:
-            expected = self._evaluate(expr, bindings)
-            if rel.properties.get(key) != expected:
+            virtual = self.virtual_labels
+            if not any(rel.id in virtual[name] for name in matcher.virtual):
+                return False
+        if matcher.entries:
+            return self._entries_pass(matcher, rel.properties, row, memo)
+        return True
+
+    def _entries_pass(
+        self, matcher, properties: Mapping[str, Any], row: dict, memo: Optional[list]
+    ) -> bool:
+        """Check inline property entries in written order, short-circuiting.
+
+        A memoised entry is evaluated when the first candidate of the row
+        reaches it, so a value that would raise raises then — and only if
+        some candidate gets that far.  Equality is WHERE's ``=`` (see
+        :func:`~repro.cypher.kernel.inline_equal`); a MERGE pattern's null
+        value raises, as a null can never be merged on.
+        """
+        for key, expr, slot in matcher.entries:
+            if slot < 0:
+                expected = self._evaluate(expr, row)
+            else:
+                expected = memo[slot]
+                if expected is UNSET:
+                    expected = memo[slot] = self._evaluate(expr, row)
+            if expected is None:
+                if matcher.merge:
+                    raise CypherRuntimeError(
+                        f"cannot MERGE on a null value for property {key!r}"
+                    )
+                return False
+            actual = properties.get(key)
+            if actual is None:
+                return False
+            if type(actual) is type(expected):
+                if actual != expected:
+                    return False
+            elif not inline_equal(actual, expected):
                 return False
         return True
+
+    def _bind(
+        self, matcher: NodeMatcher, node: Node, bindings: dict, memo: Optional[list]
+    ) -> dict | None:
+        """``bindings`` extended by ``node`` if it matches (else None).
+
+        Returns ``bindings`` itself when there is nothing new to bind.
+        """
+        variable = matcher.variable
+        if variable is not None and variable in bindings:
+            return bindings if self._bound_target(matcher, node, bindings, memo) else None
+        if not self._node_passes(matcher, node, bindings, memo):
+            return None
+        if variable is None:
+            return bindings
+        extended = dict(bindings)
+        extended[variable] = node
+        return extended
+
+    def _bound_target(
+        self, matcher: NodeMatcher, node: Node, bindings: dict, memo: Optional[list]
+    ) -> bool:
+        """Is ``node`` the node the matcher's variable is bound to, and a match?"""
+        existing = bindings[matcher.variable]
+        if existing is None:
+            return False  # bound to null: matches nothing
+        if not isinstance(existing, Node):
+            raise CypherTypeError(f"variable {matcher.variable!r} is not bound to a node")
+        return existing.id == node.id and self._node_passes(matcher, node, bindings, memo)
+
+    def _bound_relationship(
+        self, matcher: RelMatcher, node_id: int, bound: Any
+    ) -> tuple[Relationship, ...]:
+        """A bound relationship variable's one candidate hop from ``node_id``.
+
+        Its current snapshot when it still exists (else the bound one), if
+        it leaves ``node_id`` in the pattern's direction; a null or
+        non-relationship binding matches nothing.
+        """
+        if not isinstance(bound, Relationship):
+            return ()
+        rel = self.graph.relationship_or_none(bound.id) or bound
+        direction = matcher.direction
+        if direction == "out":
+            attached = rel.start == node_id
+        elif direction == "in":
+            attached = rel.end == node_id
+        else:
+            attached = rel.start == node_id or rel.end == node_id
+        return (rel,) if attached else ()
+
+    def _hop_candidates(
+        self,
+        matcher: RelMatcher,
+        node_id: int,
+        bindings: dict,
+        memo: Optional[list],
+        direction: Optional[str] = None,
+    ) -> list[Relationship]:
+        """The relationships one variable-length or shortestPath step may take.
+
+        Such steps ignore any binding of the relationship variable (it
+        binds the whole hop list).  ``direction`` overrides the pattern's,
+        for a search walking the pattern backwards.
+        """
+        rels = self.graph.relationships_of(node_id, direction or matcher.direction)
+        if matcher.types is None and not matcher.entries:
+            return rels
+        passes = self._rel_passes
+        return [rel for rel in rels if passes(matcher, rel, bindings, memo)]
 
     # ------------------------------------------------------------------
     # UNWIND
@@ -1617,12 +1805,13 @@ class QueryExecutor:
                 return
             rows = source  # ordered scan fell back: take the heap below
         sort_items = clause.order_by
+        columns = _columns(items)
 
         def pairs() -> Iterator[tuple[dict, dict]]:
             for row in rows:
                 out: dict[str, Any] = {}
-                for item in items:
-                    out[item.output_name()] = self._evaluate(item.expression, row)
+                for name, expression in columns:
+                    out[name] = self._evaluate(expression, row)
                 yield out, row
 
         def sort_key(pair: tuple[dict, dict]) -> list:
@@ -1656,13 +1845,11 @@ class QueryExecutor:
         raises surfaces exactly as the heap path (which projects all rows
         inside ``nsmallest``) would have surfaced it.
         """
+        columns = _columns(items)
         if early_exit:
             skipped = emitted = 0
             for row in rows:
-                out = {
-                    item.output_name(): self._evaluate(item.expression, row)
-                    for item in items
-                }
+                out = {name: self._evaluate(expression, row) for name, expression in columns}
                 if skipped < skip:
                     skipped += 1
                     continue
@@ -1673,10 +1860,7 @@ class QueryExecutor:
             return
         kept: list[dict] = []
         for row in rows:
-            out = {
-                item.output_name(): self._evaluate(item.expression, row)
-                for item in items
-            }
+            out = {name: self._evaluate(expression, row) for name, expression in columns}
             if len(kept) < skip + limit:
                 kept.append(out)
         yield from kept[skip:]
@@ -1698,12 +1882,13 @@ class QueryExecutor:
         limit = max(0, int(self._evaluate(clause.limit, {}))) if clause.limit is not None else None
         if limit is not None and limit <= 0:
             return
+        columns = _columns(items)
         emitted = 0
         skipped = 0
         for row in rows:
             out: dict[str, Any] = {}
-            for item in items:
-                out[item.output_name()] = self._evaluate(item.expression, row)
+            for name, expression in columns:
+                out[name] = self._evaluate(expression, row)
             if seen is not None:
                 key = tuple(sorted((k, _hashable(v)) for k, v in out.items()))
                 if key in seen:
@@ -1731,7 +1916,8 @@ class QueryExecutor:
                         seen.add(name)
                         wildcard_names.append(name)
             columns.extend(wildcard_names)
-        columns.extend(item.output_name() for item in items)
+        named = _columns(items)
+        columns.extend(name for name, _ in named)
 
         aggregates = _collect_aggregates(items)
         if aggregates:
@@ -1742,8 +1928,8 @@ class QueryExecutor:
                 out: dict[str, Any] = {}
                 for name in wildcard_names:
                     out[name] = row.get(name)
-                for item in items:
-                    out[item.output_name()] = self._evaluate(item.expression, row)
+                for name, expression in named:
+                    out[name] = self._evaluate(expression, row)
                 pairs.append((out, row))
 
         if clause.distinct:
@@ -1789,14 +1975,15 @@ class QueryExecutor:
             group_rows[()] = []
 
         pairs: list[tuple[dict, dict]] = []
+        columns = _columns(items)
         for key, representative in groups.items():
             lookup: dict[int, Any] = {}
             for aggregate in aggregates:
                 lookup[id(aggregate)] = self._run_aggregator(aggregate, group_rows[key])
             out: dict[str, Any] = {}
-            for item in items:
-                out[item.output_name()] = self._evaluate(
-                    item.expression, representative, aggregate_lookup=lookup
+            for name, expression in columns:
+                out[name] = self._evaluate(
+                    expression, representative, aggregate_lookup=lookup
                 )
             pairs.append((out, representative))
         return pairs
@@ -1851,7 +2038,7 @@ class QueryExecutor:
             output.append(current)
         return output
 
-    def _create_pattern(self, pattern: PathPattern, row: dict) -> dict:
+    def _create_pattern(self, pattern: PathPattern, row: dict, merge: bool = False) -> dict:
         bindings = dict(row)
         elements = pattern.elements
         previous_node: Node | None = None
@@ -1859,25 +2046,25 @@ class QueryExecutor:
         while index < len(elements):
             node_pattern = elements[index]
             assert isinstance(node_pattern, NodePattern)
-            node = self._resolve_or_create_node(node_pattern, bindings)
+            node = self._resolve_or_create_node(node_pattern, bindings, merge)
             if index > 0:
                 rel_pattern = elements[index - 1]
                 assert isinstance(rel_pattern, RelationshipPattern)
-                self._create_relationship(rel_pattern, previous_node, node, bindings)
+                self._create_relationship(rel_pattern, previous_node, node, bindings, merge)
             previous_node = node
             index += 2
         return bindings
 
-    def _resolve_or_create_node(self, node_pattern: NodePattern, bindings: dict) -> Node:
+    def _resolve_or_create_node(
+        self, node_pattern: NodePattern, bindings: dict, merge: bool = False
+    ) -> Node:
         variable = node_pattern.variable
         if variable is not None and bindings.get(variable) is not None:
             existing = bindings[variable]
             if not isinstance(existing, Node):
                 raise CypherTypeError(f"variable {variable!r} is not bound to a node")
             return self.graph.node(existing.id) if self.graph.has_node(existing.id) else existing
-        properties = {
-            key: self._evaluate(expr, bindings) for key, expr in node_pattern.properties
-        }
+        properties = self._inline_values(node_pattern, bindings, merge)
         node = self.transaction.create_node(node_pattern.labels, properties)
         stats = self.last_statistics
         stats.nodes_created += 1
@@ -1888,7 +2075,12 @@ class QueryExecutor:
         return node
 
     def _create_relationship(
-        self, rel_pattern: RelationshipPattern, left: Node, right: Node, bindings: dict
+        self,
+        rel_pattern: RelationshipPattern,
+        left: Node,
+        right: Node,
+        bindings: dict,
+        merge: bool = False,
     ) -> Relationship:
         if rel_pattern.is_variable_length:
             raise UnsupportedFeatureError("cannot CREATE variable-length relationships")
@@ -1899,9 +2091,7 @@ class QueryExecutor:
         else:
             # Undirected create defaults to left-to-right, as in Neo4j.
             start, end = left, right
-        properties = {
-            key: self._evaluate(expr, bindings) for key, expr in rel_pattern.properties
-        }
+        properties = self._inline_values(rel_pattern, bindings, merge)
         rel = self.transaction.create_relationship(
             rel_pattern.types[0], start.id, end.id, properties
         )
@@ -1912,14 +2102,25 @@ class QueryExecutor:
             bindings[rel_pattern.variable] = rel
         return rel
 
+    def _inline_values(self, element, bindings: dict, merge: bool) -> dict:
+        """A created element's inline properties; MERGE rejects a null value."""
+        properties = {key: self._evaluate(expr, bindings) for key, expr in element.properties}
+        if merge:
+            for key, value in properties.items():
+                if value is None:
+                    raise CypherRuntimeError(
+                        f"cannot MERGE on a null value for property {key!r}"
+                    )
+        return properties
+
     def _execute_merge(self, clause: MergeClause, rows: list[dict]) -> list[dict]:
         output: list[dict] = []
         for row in rows:
-            matches = self._match_pattern(clause.pattern, dict(row))
+            matches = list(self._iter_pattern(clause.pattern, dict(row), merge=True))
             if matches:
                 output.extend(matches)
             else:
-                output.append(self._create_pattern(clause.pattern, dict(row)))
+                output.append(self._create_pattern(clause.pattern, dict(row), merge=True))
         return output
 
     # ------------------------------------------------------------------
@@ -2266,12 +2467,6 @@ def _pattern_variables(patterns: Iterable[PathPattern]) -> list[str]:
     return names
 
 
-def _flip_direction(rel_pattern: RelationshipPattern) -> RelationshipPattern:
-    """The same relationship pattern traversed from the other end."""
-    flipped = {"out": "in", "in": "out", "both": "both"}[rel_pattern.direction]
-    return _dc_replace(rel_pattern, direction=flipped)
-
-
 def _same_item(left: Any, right: Any) -> bool:
     if isinstance(left, (Node, Relationship)) and isinstance(right, (Node, Relationship)):
         return type(left) is type(right) and left.id == right.id
@@ -2291,6 +2486,11 @@ def contains_aggregate(expr: Expression) -> bool:
         if isinstance(sub, FunctionCall) and is_aggregate_function(sub.name):
             return True
     return False
+
+
+def _columns(items: Sequence[ProjectionItem]) -> list[tuple[str, Expression]]:
+    """``(column name, expression)`` per item, rendered once per projection."""
+    return [(item.output_name(), item.expression) for item in items]
 
 
 def _collect_aggregates(items: Sequence[ProjectionItem]) -> list[Expression]:

@@ -129,6 +129,7 @@ from .ast import (
 )
 from .errors import CypherSyntaxError
 from .functions import is_aggregate_function
+from .kernel import PatternKernel
 from .lexer import Token, tokenize
 from .parser import parse_expression, parse_query
 from .physical import (
@@ -187,15 +188,31 @@ class PatternPlan:
     #: The executor checks them before walking — null matches nothing, a
     #: non-node raises — so every start point sees the same semantics.
     bound_nodes: tuple[str, ...] = ()
+    #: Virtual-label names the plan was made for (they compile as virtual
+    #: label/type checks) and whether the pattern is MERGE's.
+    virtual: frozenset = frozenset()
+    merge: bool = False
     #: Must the executor look at the input row before walking (bound node
     #: variables to check, or a bound start)?  Derived, so a plan that
     #: reads nothing from the row pays one attribute test.
     reads_row: bool = field(init=False, default=False)
+    #: The matching kernel for ``elements``, and for the written element
+    #: order (the same object unless the plan reversed the pattern), which
+    #: the executor walks when a planned anchor is not bound after all.
+    kernel: PatternKernel = field(init=False, repr=False, compare=False)
+    written_kernel: PatternKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "reads_row", bool(self.bound_nodes) or self.start.variable is not None
         )
+        kernel = PatternKernel(self.pattern, self.elements, self.virtual, self.merge)
+        object.__setattr__(self, "kernel", kernel)
+        if self.elements is not self.pattern.elements:
+            kernel = PatternKernel(
+                self.pattern, self.pattern.elements, self.virtual, self.merge
+            )
+        object.__setattr__(self, "written_kernel", kernel)
 
     def describe(self) -> str:
         start = self.elements[0]
@@ -482,10 +499,10 @@ def plan_query(
     # on every node variable is checked and no clause is uncorrelated.
     opaque = False
 
-    def plan_pattern(pattern, sargable, scope, allow_index=True) -> PatternPlan:
+    def plan_pattern(pattern, sargable, scope, allow_index=True, merge=False) -> PatternPlan:
         return _plan_pattern(
             pattern, sargable, graph, virtual, indexes, estimator,
-            allow_index=allow_index, bound=scope, opaque=opaque,
+            allow_index=allow_index, bound=scope, opaque=opaque, merge=merge,
         )
 
     def plan_exists(expr: Optional[Expression], scope: set[str]) -> None:
@@ -537,7 +554,9 @@ def plan_query(
         elif isinstance(clause, MergeClause):
             # MERGE's match phase benefits from the same start-point choice;
             # only inline property maps are sargable here (no WHERE).
-            plans.append(plan_pattern(clause.pattern, _SargablePredicates(), bound))
+            plans.append(
+                plan_pattern(clause.pattern, _SargablePredicates(), bound, merge=True)
+            )
         elif isinstance(clause, (WithClause, ReturnClause)):
             projections.append(_plan_projection(clause))
             after = _advance_bound_variables(clause, bound)
@@ -589,6 +608,7 @@ def _plan_pattern(
     allow_index: bool = True,
     bound: Union[set[str], frozenset] = frozenset(),
     opaque: bool = False,
+    merge: bool = False,
 ) -> PatternPlan:
     bound_nodes = tuple(dict.fromkeys(
         element.variable
@@ -612,6 +632,8 @@ def _plan_pattern(
             estimated_rows=estimated,
             physical=physical,
             bound_nodes=bound_nodes,
+            virtual=virtual,
+            merge=merge,
         )
     if not allow_index:
         # Scans-only planning for clauses with evaluation-order-dependent
@@ -663,6 +685,8 @@ def _plan_pattern(
         estimated_rows=estimated,
         physical=physical,
         bound_nodes=bound_nodes,
+        virtual=virtual,
+        merge=merge,
     )
 
 
@@ -942,7 +966,7 @@ def _rel_seek_path(
 
 
 def _literal_not_null(expr: Expression) -> bool:
-    """False only for a literal ``null`` (which matches *missing* inline)."""
+    """False only for a literal ``null`` (an index is never probed with null)."""
     return not (isinstance(expr, Literal) and expr.value is None)
 
 

@@ -179,19 +179,7 @@ class GraphDelta:
         creations before label/property changes before deletions, with
         relationship deletions before node deletions.
         """
-        recorded = sum(
-            (
-                len(self.created_nodes),
-                len(self.deleted_nodes),
-                len(self.created_relationships),
-                len(self.deleted_relationships),
-                len(self.assigned_labels),
-                len(self.removed_labels),
-                len(self.assigned_properties),
-                len(self.removed_properties),
-            )
-        )
-        if len(self._ops) == recorded:
+        if self._journal_complete():
             return list(self._ops)
         ops: list[tuple[str, Any]] = []
         ops.extend((OP_CREATE_NODE, node) for node in self.created_nodes)
@@ -203,6 +191,21 @@ class GraphDelta:
         ops.extend((OP_DELETE_RELATIONSHIP, rel) for rel in self.deleted_relationships)
         ops.extend((OP_DELETE_NODE, node) for node in self.deleted_nodes)
         return ops
+
+    def _journal_complete(self) -> bool:
+        """Does the journal list every change (the delta was recorded)?"""
+        return len(self._ops) == sum(
+            (
+                len(self.created_nodes),
+                len(self.deleted_nodes),
+                len(self.created_relationships),
+                len(self.deleted_relationships),
+                len(self.assigned_labels),
+                len(self.removed_labels),
+                len(self.assigned_properties),
+                len(self.removed_properties),
+            )
+        )
 
     # -- derived views ---------------------------------------------------
 
@@ -246,24 +249,34 @@ class GraphDelta:
         the transition metadata in both Neo4j APOC and Memgraph.
         """
         merged = GraphDelta()
-        for source in (self, other):
-            merged.created_nodes.extend(source.created_nodes)
-            merged.deleted_nodes.extend(source.deleted_nodes)
-            merged.created_relationships.extend(source.created_relationships)
-            merged.deleted_relationships.extend(source.deleted_relationships)
-            merged.assigned_labels.extend(source.assigned_labels)
-            merged.removed_labels.extend(source.removed_labels)
-            merged.assigned_properties.extend(source.assigned_properties)
-            merged.removed_properties.extend(source.removed_properties)
-            merged._ops.extend(source.operations())
+        merged.extend(self)
+        merged.extend(other)
         return merged
+
+    def extend(self, other: "GraphDelta") -> None:
+        """Append ``other``'s changes to this delta, in place.
+
+        Costs the size of ``other`` only, which is how a transaction folds
+        each finished statement into its running delta.
+        """
+        if not self._journal_complete():
+            self._ops = self.operations()
+        self.created_nodes.extend(other.created_nodes)
+        self.deleted_nodes.extend(other.deleted_nodes)
+        self.created_relationships.extend(other.created_relationships)
+        self.deleted_relationships.extend(other.deleted_relationships)
+        self.assigned_labels.extend(other.assigned_labels)
+        self.removed_labels.extend(other.removed_labels)
+        self.assigned_properties.extend(other.assigned_properties)
+        self.removed_properties.extend(other.removed_properties)
+        self._ops.extend(other._ops if other._journal_complete() else other.operations())
 
     @staticmethod
     def merged(deltas: Iterable["GraphDelta"]) -> "GraphDelta":
         """Merge an iterable of deltas in order."""
         result = GraphDelta()
         for delta in deltas:
-            result = result.merge(delta)
+            result.extend(delta)
         return result
 
     def summary(self) -> dict[str, int]:

@@ -2,7 +2,7 @@
 
 Three index families are provided:
 
-* :class:`LabelIndex` — label -> set of item ids, used by the trigger
+* :class:`LabelIndex` — label -> item ids in id order, used by the trigger
   engine's targeting step (a PG-Trigger targets all items with a label) and
   by Cypher's ``MATCH (n:Label)`` scans;
 * :class:`PropertyIndex` — (label, property, value) -> set of node ids, an
@@ -35,27 +35,58 @@ from .histogram import DEFAULT_BUCKETS, EquiDepthHistogram
 
 
 class LabelIndex:
-    """Maps label strings to sets of item ids."""
+    """Maps label strings to their item ids, kept in ascending id order.
+
+    Each bucket is an insertion-ordered dict used as a set.  The store
+    hands out ascending ids, so appending keeps a bucket sorted; an older
+    id arriving late (a label added to an existing node, a rollback
+    re-inserting a deleted item, recovery) marks the bucket for one
+    re-sort on its next read.  :meth:`get` returns an immutable snapshot
+    tuple, cached until the label's membership next changes, so repeated
+    scans neither copy nor sort.
+    """
 
     def __init__(self) -> None:
-        self._by_label: dict[str, set[int]] = defaultdict(set)
+        self._by_label: dict[str, dict[int, None]] = {}
+        self._snapshots: dict[str, tuple[int, ...]] = {}
+        self._unsorted: set[str] = set()
 
     def add(self, label: str, item_id: int) -> None:
         """Index ``item_id`` under ``label``."""
-        self._by_label[label].add(item_id)
+        bucket = self._by_label.get(label)
+        if bucket is None:
+            self._by_label[label] = {item_id: None}
+        elif item_id not in bucket:
+            if item_id < next(reversed(bucket)):
+                self._unsorted.add(label)
+            bucket[item_id] = None
+        else:
+            return
+        self._snapshots.pop(label, None)
 
     def remove(self, label: str, item_id: int) -> None:
         """Remove ``item_id`` from ``label``; silently ignores missing entries."""
         bucket = self._by_label.get(label)
-        if bucket is None:
+        if bucket is None or item_id not in bucket:
             return
-        bucket.discard(item_id)
+        del bucket[item_id]
+        self._snapshots.pop(label, None)
         if not bucket:
             del self._by_label[label]
+            self._unsorted.discard(label)
 
-    def get(self, label: str) -> set[int]:
-        """Return a copy of the id set for ``label`` (empty if unknown)."""
-        return set(self._by_label.get(label, ()))
+    def get(self, label: str) -> tuple[int, ...]:
+        """The ids carrying ``label`` in ascending order (empty if unknown)."""
+        snapshot = self._snapshots.get(label)
+        if snapshot is None:
+            bucket = self._by_label.get(label)
+            if bucket is None:
+                return ()
+            if label in self._unsorted:
+                bucket = self._by_label[label] = dict.fromkeys(sorted(bucket))
+                self._unsorted.discard(label)
+            snapshot = self._snapshots[label] = tuple(bucket)
+        return snapshot
 
     def labels(self) -> list[str]:
         """Return all labels that currently index at least one item."""

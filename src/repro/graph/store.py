@@ -15,9 +15,13 @@ Design notes
 * A label index is maintained for nodes (by label) and relationships (by
   type); an optional exact-match property index can be declared per
   (label, property) pair.
-* Adjacency is kept as two ``node id -> set of relationship ids`` maps
+* Adjacency is kept as two ``node id -> relationship ids`` maps
   (outgoing and incoming), so expanding a pattern from a bound node is
   proportional to its degree rather than to the graph size.
+* Node and relationship tables, label buckets and adjacency are all kept
+  in ascending id order as they change (ids are handed out ascending; an
+  old id re-inserted by a rollback or by recovery restores the order), so
+  scans and expansions read them in id order without sorting per call.
 """
 
 from __future__ import annotations
@@ -79,8 +83,14 @@ class PropertyGraph:
         #: Declared reachability accelerators, one per relationship type
         #: (see :mod:`repro.paths.accelerator`); rebuilt lazily on use.
         self._reachability: dict[str, ReachabilityIndex] = {}
-        self._outgoing: dict[int, set[int]] = {}
-        self._incoming: dict[int, set[int]] = {}
+        #: Adjacency: node id -> its relationship ids (an insertion-ordered
+        #: dict used as a set, kept in ascending id order).
+        self._outgoing: dict[int, dict[int, None]] = {}
+        self._incoming: dict[int, dict[int, None]] = {}
+        #: Set when an old id was re-inserted out of order; the next
+        #: ordered read of the table re-sorts it once.
+        self._nodes_unsorted = False
+        self._relationships_unsorted = False
         self._index_epoch = 0
         self.plan_token = next(_PLAN_TOKENS)
         #: Optional callback ``(action, kind, label, prop)`` invoked after
@@ -138,11 +148,17 @@ class PropertyGraph:
         return self.relationship_count()
 
     def nodes(self) -> Iterator[Node]:
-        """Iterate over all node snapshots (no particular order guaranteed)."""
+        """Iterate over all node snapshots in ascending id order."""
+        if self._nodes_unsorted:
+            self._nodes = dict(sorted(self._nodes.items()))
+            self._nodes_unsorted = False
         return iter(list(self._nodes.values()))
 
     def relationships(self) -> Iterator[Relationship]:
-        """Iterate over all relationship snapshots."""
+        """Iterate over all relationship snapshots in ascending id order."""
+        if self._relationships_unsorted:
+            self._relationships = dict(sorted(self._relationships.items()))
+            self._relationships_unsorted = False
         return iter(list(self._relationships.values()))
 
     def node_labels(self) -> list[str]:
@@ -192,12 +208,14 @@ class PropertyGraph:
             raise RelationshipNotFoundError(rel_id) from None
 
     def nodes_with_label(self, label: str) -> list[Node]:
-        """All nodes carrying ``label``."""
-        return [self._nodes[i] for i in sorted(self._node_labels.get(label))]
+        """All nodes carrying ``label``, in ascending id order."""
+        nodes = self._nodes
+        return [nodes[i] for i in self._node_labels.get(label)]
 
     def relationships_with_type(self, rel_type: str) -> list[Relationship]:
-        """All relationships of type ``rel_type``."""
-        return [self._relationships[i] for i in sorted(self._rel_types.get(rel_type))]
+        """All relationships of type ``rel_type``, in ascending id order."""
+        rels = self._relationships
+        return [rels[i] for i in self._rel_types.get(rel_type)]
 
     def count_nodes_with_label(self, label: str) -> int:
         """Number of nodes carrying ``label`` (index lookup, no scan)."""
@@ -246,24 +264,39 @@ class PropertyGraph:
         direction: str = BOTH,
         rel_type: str | None = None,
     ) -> list[Relationship]:
-        """Relationships attached to ``node_id``.
+        """Relationships attached to ``node_id``, in ascending id order.
+
+        A fresh list each call, so callers may write while iterating it.
+        Only ``"both"`` on a node with relationships in both directions
+        merges (and sorts) the two adjacency maps; a self-loop is listed
+        once.
 
         Args:
             node_id: the anchor node.
             direction: ``"out"``, ``"in"`` or ``"both"``.
             rel_type: optional type filter.
         """
-        if node_id not in self._nodes:
+        outgoing = self._outgoing.get(node_id)
+        if outgoing is None:
             raise NodeNotFoundError(node_id)
-        rel_ids: set[int] = set()
-        if direction in (OUTGOING, BOTH):
-            rel_ids |= self._outgoing.get(node_id, set())
-        if direction in (INCOMING, BOTH):
-            rel_ids |= self._incoming.get(node_id, set())
-        rels = [self._relationships[i] for i in sorted(rel_ids)]
-        if rel_type is not None:
-            rels = [r for r in rels if r.type == rel_type]
-        return rels
+        if direction == OUTGOING:
+            rel_ids: Iterable[int] = outgoing
+        elif direction == INCOMING:
+            rel_ids = self._incoming[node_id]
+        elif direction == BOTH:
+            incoming = self._incoming[node_id]
+            if not incoming:
+                rel_ids = outgoing
+            elif not outgoing:
+                rel_ids = incoming
+            else:
+                rel_ids = sorted(outgoing.keys() | incoming.keys())
+        else:
+            return []
+        rels = self._relationships
+        if rel_type is None:
+            return [rels[i] for i in rel_ids]
+        return [rel for rel in map(rels.__getitem__, rel_ids) if rel.type == rel_type]
 
     def degree(self, node_id: int, direction: str = BOTH) -> int:
         """Number of relationships attached to ``node_id``."""
@@ -444,7 +477,7 @@ class PropertyGraph:
         if len(result) < len(members):
             indexed = set(ordered)
             result.extend(
-                self._nodes[i] for i in sorted(members - indexed) if i in self._nodes
+                self._nodes[i] for i in members if i not in indexed and i in self._nodes
             )
         return result
 
@@ -598,11 +631,13 @@ class PropertyGraph:
         elif node_id in self._nodes:
             raise GraphIntegrityError(f"node id {node_id} already exists")
         else:
+            if self._nodes and node_id < next(reversed(self._nodes)):
+                self._nodes_unsorted = True
             self._node_ids = itertools.count(max(node_id + 1, self._peek_node_id()))
         node = Node(id=node_id, labels=label_set, properties=props)
         self._nodes[node_id] = node
-        self._outgoing.setdefault(node_id, set())
-        self._incoming.setdefault(node_id, set())
+        self._outgoing[node_id] = {}
+        self._incoming[node_id] = {}
         for label in label_set:
             self._node_labels.add(label, node_id)
             for key, value in props.items():
@@ -634,11 +669,13 @@ class PropertyGraph:
         elif rel_id in self._relationships:
             raise GraphIntegrityError(f"relationship id {rel_id} already exists")
         else:
+            if self._relationships and rel_id < next(reversed(self._relationships)):
+                self._relationships_unsorted = True
             self._rel_ids = itertools.count(max(rel_id + 1, self._peek_rel_id()))
         rel = Relationship(id=rel_id, type=rel_type, start=start, end=end, properties=props)
         self._relationships[rel_id] = rel
-        self._outgoing[start].add(rel_id)
-        self._incoming[end].add(rel_id)
+        _attach(self._outgoing, start, rel_id)
+        _attach(self._incoming, end, rel_id)
         self._rel_types.add(rel_type, rel_id)
         for key, value in props.items():
             self._rel_property_index.add(rel_type, key, value, rel_id)
@@ -654,7 +691,7 @@ class PropertyGraph:
         and ``detach`` is False.
         """
         node = self.node(node_id)
-        attached = self._outgoing.get(node_id, set()) | self._incoming.get(node_id, set())
+        attached = self._outgoing[node_id].keys() | self._incoming[node_id].keys()
         if attached and not detach:
             raise NodeInUseError(node_id, len(attached))
         for rel_id in sorted(attached):
@@ -676,8 +713,8 @@ class PropertyGraph:
         """Delete a relationship, returning its pre-deletion snapshot."""
         rel = self.relationship(rel_id)
         del self._relationships[rel_id]
-        self._outgoing.get(rel.start, set()).discard(rel_id)
-        self._incoming.get(rel.end, set()).discard(rel_id)
+        self._outgoing.get(rel.start, {}).pop(rel_id, None)
+        self._incoming.get(rel.end, {}).pop(rel_id, None)
         self._rel_types.remove(rel.type, rel_id)
         for key, value in rel.properties.items():
             self._rel_property_index.remove(rel.type, key, value, rel_id)
@@ -810,6 +847,7 @@ class PropertyGraph:
         self._relationships.clear()
         self._outgoing.clear()
         self._incoming.clear()
+        self._nodes_unsorted = self._relationships_unsorted = False
         self._node_labels = LabelIndex()
         self._rel_types = LabelIndex()
         declared = self._property_index.indexed_pairs()
@@ -876,3 +914,17 @@ class PropertyGraph:
             f"PropertyGraph({self.name!r}, nodes={self.node_count()}, "
             f"relationships={self.relationship_count()})"
         )
+
+
+def _attach(adjacency: dict[int, dict[int, None]], node_id: int, rel_id: int) -> None:
+    """Add ``rel_id`` to ``node_id``'s adjacency, keeping it in id order.
+
+    New relationships carry the highest id and simply append; an older id
+    (re-inserted by a rollback or by recovery) re-sorts that one map.
+    """
+    bucket = adjacency[node_id]
+    if bucket and rel_id < next(reversed(bucket)):
+        bucket[rel_id] = None
+        adjacency[node_id] = dict.fromkeys(sorted(bucket))
+    else:
+        bucket[rel_id] = None

@@ -242,7 +242,7 @@ class TriggerEngine:
                     installed, tx, delta, depth, parent, activation_memo
                 )
                 if not produced.is_empty():
-                    produced_total = produced_total.merge(produced)
+                    produced_total.extend(produced)
 
         if not produced_total.is_empty():
             cascade_times = self._cascade_times(times)
@@ -250,6 +250,8 @@ class TriggerEngine:
                 tx, produced_total, cascade_times, depth + 1,
                 parent or ExecutionContext("(statement)", depth, 0, Granularity.ALL),
             )
+            # ``produced_total`` was just handed to the nested round: fold
+            # into a copy so nothing that kept it sees it grow.
             produced_total = produced_total.merge(nested)
         return produced_total
 
@@ -644,7 +646,7 @@ class _TriggerRun:
                 self.engine._execute_statement(
                     self.trigger, binding, row, self.tx, self.context
                 )
-            self.produced = self.produced.merge(self.tx.end_statement())
+            self.produced.extend(self.tx.end_statement())
             self.installed.executions += 1
         else:
             self.installed.suppressed += 1

@@ -63,6 +63,7 @@ from ..cypher.ast import (
 )
 from ..cypher.executor import contains_aggregate
 from ..cypher.expressions import EvaluationContext, evaluate
+from ..cypher.kernel import inline_equal
 from ..graph.delta import OP_CREATE_NODE, OP_DELETE_NODE
 from ..graph.model import Node
 from ..graph.store import OP_BULK, PropertyGraph
@@ -123,8 +124,10 @@ class _ViewClause:
         for label in self.labels:
             if label not in node.labels:
                 return False
+        # The executor's inline-map comparison, so a view admits exactly
+        # the nodes the sequential evaluation's MATCH would.
         for key, value in self.property_filters:
-            if node.properties.get(key) != value:
+            if not inline_equal(node.properties.get(key), value):
                 return False
         return True
 

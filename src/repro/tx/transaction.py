@@ -61,6 +61,9 @@ class Transaction:
         self._undo_log: list[UndoRecord] = []
         self._statement_delta = GraphDelta()
         self._transaction_delta = GraphDelta()
+        #: Set once ``_transaction_delta`` has been handed out: the next
+        #: statement then starts a new running delta instead of growing it.
+        self._transaction_delta_shared = False
 
     # ------------------------------------------------------------------
     # state management
@@ -90,20 +93,32 @@ class Transaction:
     def transaction_delta(self) -> GraphDelta:
         """All changes applied since the transaction began.
 
-        Includes both finished statements and the currently open one.
+        Includes both finished statements and the currently open one.  The
+        returned delta never changes afterwards: at a statement boundary
+        (the usual case: commit hooks, the emulators) it is the running
+        delta itself, which later statements then no longer grow in place;
+        mid-statement it is a merged copy.
         """
-        return self._transaction_delta.merge(self._statement_delta)
+        if not self._statement_delta.is_empty():
+            return self._transaction_delta.merge(self._statement_delta)
+        self._transaction_delta_shared = True
+        return self._transaction_delta
 
     def end_statement(self) -> GraphDelta:
         """Close the current statement and return its delta.
 
-        The returned delta is folded into the transaction delta; a fresh
-        empty statement delta is started.
+        The returned delta is appended to the running transaction delta in
+        place (so a K-statement transaction copies O(K) records, not
+        O(K²)); a fresh empty statement delta is started.
         """
         finished = self._statement_delta
         self._statement_delta = GraphDelta()
         if not finished.is_empty():
-            self._transaction_delta = self._transaction_delta.merge(finished)
+            if self._transaction_delta_shared:
+                self._transaction_delta = self._transaction_delta.merge(finished)
+                self._transaction_delta_shared = False
+            else:
+                self._transaction_delta.extend(finished)
         return finished
 
     def write_count(self) -> int:
@@ -247,6 +262,7 @@ class Transaction:
         self._undo_log.clear()
         self._statement_delta = GraphDelta()
         self._transaction_delta = GraphDelta()
+        self._transaction_delta_shared = False
         self.state = TransactionState.ROLLED_BACK
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

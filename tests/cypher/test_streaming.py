@@ -54,13 +54,13 @@ class TestStreamingPipeline:
 
     def test_limit_terminates_scan_early(self, graph, monkeypatch):
         checked: list[int] = []
-        original = QueryExecutor._node_satisfies
+        original = QueryExecutor._node_passes
 
-        def counting(self, node_pattern, node, row):
+        def counting(self, matcher, node, row, memo):
             checked.append(node.id)
-            return original(self, node_pattern, node, row)
+            return original(self, matcher, node, row, memo)
 
-        monkeypatch.setattr(QueryExecutor, "_node_satisfies", counting)
+        monkeypatch.setattr(QueryExecutor, "_node_passes", counting)
         rows = stream_rows(graph, "MATCH (p:Person) RETURN p.seq AS seq LIMIT 2")
         assert [row["seq"] for row in rows] == [0, 1]
         # Streaming stops pulling candidates once LIMIT is satisfied: far
@@ -78,13 +78,13 @@ class TestStreamingPipeline:
             spoke = graph.create_node(["Spoke"], {"seq": index})
             graph.create_relationship("Links", hub.id, spoke.id)
         checked: list[int] = []
-        original = QueryExecutor._node_satisfies
+        original = QueryExecutor._node_passes
 
-        def counting(self, node_pattern, node, row):
+        def counting(self, matcher, node, row, memo):
             checked.append(node.id)
-            return original(self, node_pattern, node, row)
+            return original(self, matcher, node, row, memo)
 
-        monkeypatch.setattr(QueryExecutor, "_node_satisfies", counting)
+        monkeypatch.setattr(QueryExecutor, "_node_passes", counting)
         rows = stream_rows(
             graph, "MATCH (h:Hub) WHERE EXISTS (h)-[:Links]->(:Spoke) RETURN h"
         )
