@@ -810,33 +810,18 @@ class QueryExecutor:
             # Index gone or value unusable: degrade to the node-anchored scan.
             access = None
         memo = kernel.new_memo()
-        first = kernel.matchers[0]
-        if not kernel.single:
-            path = kernel.path_variable is not None
-            for node, bindings in self._candidate_nodes(first, row, access, memo):
-                yield from self._walk(
-                    kernel, 1, node, bindings, memo, _NO_RELS,
-                    [node] if path else None, [] if path else None,
-                )
-            return
-        # A lone node pattern yields straight from its scan.
-        variable = first.variable
-        if variable is not None and variable in row:
-            if self._bound_start(first, row, memo) is not None:
-                yield row
-            return
-        passes = self._node_passes
-        candidates, check = self._scan_nodes(first, row, access)
-        if variable is None:
-            for node in candidates:
-                if passes(check, node, row, memo):
-                    yield row
-            return
-        for node in candidates:
-            if passes(check, node, row, memo):
-                bindings = dict(row)
-                bindings[variable] = node
+        candidates = self._candidate_nodes(kernel.matchers[0], row, access, memo)
+        if kernel.single:
+            # A lone node pattern yields its start candidates' bindings.
+            for _, bindings in candidates:
                 yield bindings
+            return
+        path = kernel.path_variable is not None
+        for node, bindings in candidates:
+            yield from self._walk(
+                kernel, 1, node, bindings, memo, _NO_RELS,
+                [node] if path else None, [] if path else None,
+            )
 
     def _rel_seek_candidates(
         self, access: AccessPath, row: dict
@@ -1105,7 +1090,7 @@ class QueryExecutor:
         else:
             candidates = self.graph.relationships_of(node_id, rel_matcher.direction)
         types = rel_matcher.types
-        plain = not rel_matcher.entries and not rel_matcher.virtual
+        plain = rel_matcher.plain
         node_variable = node_matcher.variable
         target_bound = node_variable is not None and node_variable in bindings
         if target_bound:
@@ -1362,14 +1347,18 @@ class QueryExecutor:
         """Yield (node, bindings) pairs satisfying a pattern's start node."""
         variable = matcher.variable
         if variable is not None and variable in row:
-            node = self._bound_start(matcher, row, memo)
-            if node is not None:
+            bound = row[variable]
+            if bound is None:
+                return  # bound to null: matches nothing
+            if not isinstance(bound, Node):
+                raise CypherTypeError(f"variable {variable!r} is not bound to a node")
+            node = self.graph.node_or_none(bound.id) or bound
+            if self._node_passes(matcher, node, row, memo):
                 yield node, row
             return
         passes = self._node_passes
-        candidates, check = self._scan_nodes(matcher, row, access)
-        for node in candidates:
-            if passes(check, node, row, memo):
+        for node in self._scan_nodes(matcher, row, access):
+            if passes(matcher, node, row, memo):
                 if variable is None:
                     yield node, row
                 else:
@@ -1377,35 +1366,21 @@ class QueryExecutor:
                     bindings[variable] = node
                     yield node, bindings
 
-    def _bound_start(
-        self, matcher: NodeMatcher, row: dict, memo: Optional[list]
-    ) -> Node | None:
-        """The current snapshot of a bound start node, if it matches."""
-        bound = row[matcher.variable]
-        if bound is None:
-            return None  # bound to null: matches nothing
-        if not isinstance(bound, Node):
-            raise CypherTypeError(f"variable {matcher.variable!r} is not bound to a node")
-        node = self.graph.node_or_none(bound.id) or bound
-        return node if self._node_passes(matcher, node, row, memo) else None
-
     def _scan_nodes(
         self,
         matcher: NodeMatcher,
         row: dict,
         access: AccessPath | None = None,
-    ) -> tuple[Iterable[Node], NodeMatcher]:
+    ) -> Iterable[Node]:
         """Pick the cheapest starting candidate set for a node pattern.
 
-        Returns the candidates and the check they still need.  A planned
-        access path is advisory: every candidate it produces is still
+        A planned access path is advisory: every candidate it produces is still
         checked by :meth:`_node_passes` (and any WHERE clause), so an
         index path can only narrow the candidate set, never change the
         result.  When the index is gone or the looked-up value is null the
         path degrades to the unplanned logic below.  Scans read the
         store's label membership in ascending id order, as every seek
-        returns its hits; a scan of the matcher's only label leaves just
-        its properties to check.
+        returns its hits.
         """
         if access is not None and access.kind == INDEX:
             try:
@@ -1423,35 +1398,33 @@ class QueryExecutor:
                 # exactly as it did before planning existed.
                 hit = None
             if hit is not None:
-                return hit, matcher
+                return hit
         elif access is not None and access.kind == COMPOSITE:
             hit = self._composite_seek_candidates(access, row)
             if hit is not None:
-                return hit, matcher
+                return hit
         elif access is not None and access.kind == IN_LIST:
             hit = self._in_seek_candidates(access, row)
             if hit is not None:
-                return hit, matcher
+                return hit
         elif access is not None and access.kind == RANGE:
             hit = self._range_seek_candidates(access, row)
             if hit is not None:
-                return hit, matcher
+                return hit
         elif access is not None and access.kind == ORDERED:
             hit = self._ordered_scan_candidates(access)
             if hit is not None:
-                return hit, matcher
+                return hit
             # Index dropped or mixed-typed since planning: the label scan
             # below is correct but unordered, so the projection must sort.
             self._presorted_ok = False
         if matcher.virtual:
-            return self._virtual_members(matcher.virtual[0]), matcher
-        labels = matcher.labels
-        if len(labels) == 1:
-            return self.graph.nodes_with_label(labels[0]), matcher.scanned
-        if labels:
-            best = min(labels, key=self.graph.count_nodes_with_label)
-            return self.graph.nodes_with_label(best), matcher
-        return self.graph.nodes(), matcher
+            return self._virtual_members(matcher.virtual[0])
+        if matcher.labels:
+            return self.graph.nodes_with_label(
+                min(matcher.labels, key=self.graph.count_nodes_with_label)
+            )
+        return self.graph.nodes()
 
     def _virtual_members(self, label: str) -> list[Node]:
         """The live nodes of a virtual label, in ascending id order."""
@@ -1568,11 +1541,8 @@ class QueryExecutor:
         self, matcher: NodeMatcher, node: Node, row: dict, memo: Optional[list]
     ) -> bool:
         """Does ``node`` carry the matcher's labels and inline properties?"""
-        if matcher.labels:
-            labels = node.labels
-            for label in matcher.labels:
-                if label not in labels:
-                    return False
+        if not matcher.labels <= node.labels:
+            return False
         if matcher.virtual:
             node_id = node.id
             virtual = self.virtual_labels
@@ -1623,8 +1593,10 @@ class QueryExecutor:
                     )
                 return False
             actual = properties.get(key)
-            if actual is None:
-                return False
+            # Same-typed values compare inline: a call per entry costs a few
+            # per cent of a trigger-heavy workload.  Every other pair
+            # (a null or missing value, int/float, bool/number) goes through
+            # the one definition of the comparison.
             if type(actual) is type(expected):
                 if actual != expected:
                     return False
@@ -2139,7 +2111,12 @@ class QueryExecutor:
 
     def _execute_set(self, clause: SetClause, rows: list[dict]) -> list[dict]:
         stats = self.last_statistics
+        output = []
         for row in rows:
+            # Matches that bind nothing new share one dict, so the fresh
+            # snapshots are written into this row's own copy.
+            row = dict(row)
+            output.append(row)
             for item in clause.items:
                 if isinstance(item, SetPropertyItem):
                     target = self._resolve_item(row, item.subject)
@@ -2167,7 +2144,7 @@ class QueryExecutor:
                         raise CypherTypeError("SET … = / += requires a map value")
                     self._set_from_map(target, value, replace=item.replace)
                 self._refresh_binding(row, item.subject)
-        return rows
+        return output
 
     def _refresh_binding(self, row: dict, name: str) -> None:
         """Re-bind ``name`` to the item's current snapshot after a write.
@@ -2222,7 +2199,10 @@ class QueryExecutor:
 
     def _execute_remove(self, clause: RemoveClause, rows: list[dict]) -> list[dict]:
         stats = self.last_statistics
+        output = []
         for row in rows:
+            row = dict(row)  # a row of its own, as in SET
+            output.append(row)
             for item in clause.items:
                 target = self._resolve_item(row, item.subject)
                 if target is None:
@@ -2238,7 +2218,7 @@ class QueryExecutor:
                         if present:
                             stats.labels_removed += 1
                 self._refresh_binding(row, item.subject)
-        return rows
+        return output
 
     def _execute_delete(self, clause: DeleteClause, rows: list[dict]) -> list[dict]:
         stats = self.last_statistics

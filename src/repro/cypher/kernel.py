@@ -24,7 +24,6 @@ boolean never equals a number.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Optional, Sequence, Union
 
 from .ast import (
@@ -50,28 +49,22 @@ PER_CANDIDATE = -1
 class NodeMatcher:
     """One node pattern element, compiled.
 
-    ``labels`` are the real labels to check, ``virtual`` the virtual-label
+    ``labels`` is the frozenset of real labels to check, ``virtual`` the virtual-label
     names (in written order: the first one seeds a scan), ``entries`` the
     inline properties as ``(key, expression, slot)`` with ``slot`` a memo
     index or :data:`PER_CANDIDATE`.  ``merge`` marks a MERGE pattern, whose
-    null inline values raise instead of matching nothing.  ``scanned`` is
-    the check left for candidates of a scan of the matcher's only label:
-    the same matcher minus that label.
+    null inline values raise instead of matching nothing.
     """
 
-    __slots__ = ("element", "variable", "labels", "virtual", "entries", "merge", "scanned")
+    __slots__ = ("element", "variable", "labels", "virtual", "entries", "merge")
 
     def __init__(self, element: NodePattern, virtual_names, slots: list, merge: bool) -> None:
         self.element = element
         self.variable = element.variable
-        self.labels = tuple(label for label in element.labels if label not in virtual_names)
+        self.labels = frozenset(label for label in element.labels if label not in virtual_names)
         self.virtual = tuple(label for label in element.labels if label in virtual_names)
         self.entries = _entries(element.properties, slots)
         self.merge = merge
-        self.scanned = self
-        if len(self.labels) == 1 and not self.virtual:
-            self.scanned = copy.copy(self)
-            self.scanned.labels = ()
 
 
 class RelMatcher:
@@ -80,11 +73,12 @@ class RelMatcher:
     ``types`` is the frozenset of real types (``None`` when the pattern
     names none, so any type passes), ``virtual`` the virtual-label names
     among the alternatives; a relationship passes when its type is in
-    ``types`` or its id is in one of the virtual sets.
+    ``types`` or its id is in one of the virtual sets.  ``plain`` marks a
+    matcher with nothing but ``types`` to check, which a hop tests inline.
     """
 
     __slots__ = (
-        "element", "variable", "types", "virtual", "entries", "merge",
+        "element", "variable", "types", "virtual", "entries", "merge", "plain",
         "direction", "var_length", "min_hops", "max_hops",
     )
 
@@ -101,6 +95,7 @@ class RelMatcher:
         self.virtual = tuple(t for t in element.types if t in virtual_names)
         self.entries = _entries(element.properties, slots)
         self.merge = merge
+        self.plain = not self.virtual and not self.entries
         self.direction = element.direction
         self.var_length = element.is_variable_length
         self.min_hops = element.min_hops
@@ -142,7 +137,7 @@ class PatternKernel:
         self.slots = len(slots)
         self.track_used = len(elements) > 3
         self.path_variable: Optional[str] = pattern.variable
-        #: A lone node and no path to build: matches yield straight from the scan.
+        #: A lone node and no path to build: no walk, the start candidates are the matches.
         self.single = len(elements) == 1 and pattern.variable is None
 
     def new_memo(self) -> Optional[list]:

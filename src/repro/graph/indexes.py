@@ -76,13 +76,20 @@ class LabelIndex:
             self._unsorted.discard(label)
 
     def get(self, label: str) -> tuple[int, ...]:
-        """The ids carrying ``label`` in ascending order (empty if unknown)."""
+        """The ids carrying ``label`` in ascending order (empty if unknown).
+
+        Readers sharing the graph's read lock may run this at once, so the
+        unsorted mark is tested *before* the bucket is read: a reader that
+        finds it clear reads the bucket after the one re-sort stored it
+        (the sorted bucket is stored before the mark is cleared).
+        """
         snapshot = self._snapshots.get(label)
         if snapshot is None:
+            unsorted = label in self._unsorted
             bucket = self._by_label.get(label)
             if bucket is None:
                 return ()
-            if label in self._unsorted:
+            if unsorted:
                 bucket = self._by_label[label] = dict.fromkeys(sorted(bucket))
                 self._unsorted.discard(label)
             snapshot = self._snapshots[label] = tuple(bucket)

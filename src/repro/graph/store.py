@@ -149,6 +149,8 @@ class PropertyGraph:
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over all node snapshots in ascending id order."""
+        # Readers may run this at once: the sorted table is stored before
+        # the mark is cleared, so a reader that finds the mark clear reads it.
         if self._nodes_unsorted:
             self._nodes = dict(sorted(self._nodes.items()))
             self._nodes_unsorted = False
@@ -156,6 +158,7 @@ class PropertyGraph:
 
     def relationships(self) -> Iterator[Relationship]:
         """Iterate over all relationship snapshots in ascending id order."""
+        # Race-free among readers for the same reason as :meth:`nodes`.
         if self._relationships_unsorted:
             self._relationships = dict(sorted(self._relationships.items()))
             self._relationships_unsorted = False

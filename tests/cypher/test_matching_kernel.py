@@ -9,6 +9,8 @@
   once per input row, and only once a candidate reaches its entry; other
   values are evaluated per candidate.
 * Projection column names are rendered once per projection, not per row.
+* Matches that bind nothing new may share one row, so a write clause over
+  them must still act as if every match had its own row.
 """
 
 from __future__ import annotations
@@ -198,3 +200,56 @@ class TestIncrementalAlphaTest:
         assert "incremental" in tiers_used(default)
         fired = default.graph.count_nodes_with_label("Fired")
         assert fired == {"{x: true}": 2, "{x: 1}": 2, "{x: null}": 0}[inline]
+
+
+class TestWritesOverSharedRows:
+    """SET and REMOVE re-bind each written item to its new snapshot in their
+    row; a write on one match must not show through in a sibling match."""
+
+    @pytest.fixture
+    def fan_graph(self):
+        graph = PropertyGraph()
+        hub = graph.create_node(["A"], {})
+        for _ in range(3):
+            leaf = graph.create_node(["B"], {})
+            graph.create_relationship("R", hub.id, leaf.id)
+        leaf = graph.create_node(["C"], {})
+        for _ in range(3):
+            graph.create_relationship("S", hub.id, leaf.id)
+        return graph
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            "MATCH (a:A)-[:R]->()",
+            "MATCH (a:A)-[:R]->(b)",
+            "MATCH (a:A)-[r:R]->()",
+            # parallel edges between two bound nodes
+            "MATCH (a:A), (c:C) WITH a, c MATCH (a)-[:S]->(c)",
+            # MERGE's match phase over several existing relationships
+            "MATCH (a:A) MERGE (a)-[:R]->()",
+            # a lone bound node re-matched per UNWIND row
+            "MATCH (a:A) UNWIND [1, 2, 3] AS i WITH a MATCH (a)",
+        ],
+    )
+    def test_set_sees_only_its_own_row(self, fan_graph, pattern):
+        for join_ordering in (True, False):
+            result = rows(
+                fan_graph,
+                pattern + " SET a.c = coalesce(a.c, 0) + 1 RETURN a.c AS c",
+                join_ordering=join_ordering,
+            )
+            assert [row["c"] for row in result] == [1, 1, 1]
+            fan_graph.remove_node_property(0, "c")
+
+    def test_remove_sees_only_its_own_row(self, fan_graph):
+        # ``b`` aliases ``a``: the first row's ``a`` is re-bound after
+        # ``a.x`` goes and before ``b.y`` does, so only it still shows ``y``.
+        fan_graph.set_node_property(0, "x", 1)
+        fan_graph.set_node_property(0, "y", 2)
+        result = rows(
+            fan_graph,
+            "MATCH (a:A) WITH a, a AS b MATCH (a)-[:R]->() REMOVE a.x, b.y "
+            "RETURN a.y AS y",
+        )
+        assert [row["y"] for row in result] == [2, None, None]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.cypher import QueryExecutor
 from repro.graph import PropertyGraph
+from repro.graph.indexes import LabelIndex
 from repro.storage import MemoryIO
 from repro.triggers.session import GraphSession
 from repro.tx import Transaction
@@ -74,6 +75,30 @@ def test_label_added_to_an_older_node_keeps_the_bucket_ordered():
     graph.add_label(1, "Late")
     assert [n.id for n in graph.nodes_with_label("Late")] == [1, 2, 6]
     assert_ordered(graph)
+
+
+def test_racing_first_reads_of_a_late_labelled_bucket_stay_ordered():
+    """Readers share the graph's read lock, so two may take a bucket's
+    first read after an out-of-order id at once.  Here a second reader runs
+    its whole read just after the first has fetched the bucket; neither may
+    cache the bucket in its unsorted order."""
+    index = LabelIndex()
+    for item_id in (1, 5, 9, 3):
+        index.add("L", item_id)
+
+    class SecondReaderInBetween(dict):
+        armed = True
+
+        def get(self, key, default=None):
+            value = super().get(key, default)
+            if self.armed:
+                self.armed = False
+                assert index.get(key) == (1, 3, 5, 9)
+            return value
+
+    index._by_label = SecondReaderInBetween(index._by_label)
+    assert index.get("L") == (1, 3, 5, 9)
+    assert index.get("L") == (1, 3, 5, 9)
 
 
 @pytest.mark.parametrize("checkpoint", [False, True])
